@@ -1701,14 +1701,17 @@ Task<Payload> NfsClient::read(FilePtr file, uint64_t offset, uint64_t length) {
   stats_.bytes_read += out.size();
   m_read_bytes_->add(out.size());
 
-  // Sequential readahead.  Extensions are quantized to whole rsize chunks
-  // so the wire sees rsize-sized READs, not request-sized dribbles.
+  // Sequential readahead.  The window ends on an rsize boundary, so every
+  // extension after the first is a whole number of rsize-aligned chunks and
+  // the wire sees rsize-sized READs, not request-sized dribbles.
   if (offset == file->expected_seq_offset && config_.readahead_window > 0) {
     const uint64_t target = std::min<uint64_t>(
         file->size,
-        end + static_cast<uint64_t>(config_.readahead_window) * config_.rsize);
+        round_down(end + static_cast<uint64_t>(config_.readahead_window) *
+                             config_.rsize,
+                   config_.rsize));
     const uint64_t from = std::max(end, file->readahead_high);
-    if (target > from && (target - from >= config_.rsize || target == file->size)) {
+    if (target > from) {
       file->readahead_high = target;
       fabric_.simulation().spawn(readahead(file, from, target));
     }
@@ -1778,9 +1781,12 @@ Task<uint64_t> NfsClient::fetch_range(FilePtr file, uint64_t start,
         piece_end = it->first;
       }
       if (piece_end <= pos) break;
-      // Split into rsize-bounded READs.
+      // Split into READs that end on rsize boundaries: with rsize equal to
+      // the stripe unit, no READ straddles two data servers.
       while (pos < piece_end) {
-        const uint64_t n = std::min<uint64_t>(config_.rsize, piece_end - pos);
+        const uint64_t n =
+            std::min(round_down(pos, config_.rsize) + config_.rsize, piece_end) -
+            pos;
         auto latch = std::make_shared<sim::Latch>(fabric_.simulation());
         file->inflight.emplace(pos, std::make_pair(pos + n, latch));
         fetches.push_back(Fetch{pos, n, std::move(latch)});

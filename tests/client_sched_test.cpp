@@ -1,8 +1,8 @@
 // Per-data-server write-back scheduler: pipeline independence under faults,
 // elevator coalescing of queued extents, the one-COMMIT-per-DS fsync
-// contract, scatter-gather payload marshalling, and the client-cache
+// contract, scatter-gather payload marshalling, the client-cache
 // correctness fixes that rode along (short-READ handling, files_ iteration
-// across suspensions).
+// across suspensions), and rsize-aligned readahead on cold reads.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -663,6 +663,104 @@ TEST(ClientSched, ReadaheadClampsAtEofAndCountsOnlyRealFetches) {
     EXPECT_EQ(r.client->stats().readahead_fetches, 1u);
     co_await r.client->close(g);
   }(r));
+}
+
+// ---------------------------------------------------------------------------
+// Readahead windows end on rsize boundaries: one READ per stripe unit
+// ---------------------------------------------------------------------------
+
+constexpr uint64_t kColdFile = 24_MiB;  // 12 stripe units of 2 MB over 6 DSes
+
+core::ClusterConfig cold_read_config(uint32_t clients) {
+  core::ClusterConfig cfg;
+  cfg.architecture = core::Architecture::kDirectPnfs;
+  cfg.storage_nodes = 6;
+  cfg.clients = clients;
+  return cfg;
+}
+
+/// Writes `path` with pattern(seed), fsyncs, closes, and drops the client's
+/// cache so the read-back starts cold.
+Task<void> write_cold(NfsClient& c, std::string path, uint64_t seed) {
+  auto f = co_await c.open(path, true);
+  co_await c.write(f, 0, pattern(seed, 0, kColdFile));
+  co_await c.fsync(f);
+  co_await c.close(f);
+  c.drop_caches();
+}
+
+TEST(ClientSched, ColdSequentialReadSendsOneReadPerStripe) {
+  core::Deployment d(cold_read_config(1));
+  uint64_t reads = 0;
+  bool data_ok = true;
+  d.simulation().spawn([](core::Deployment& d, uint64_t& reads,
+                          bool& data_ok) -> Task<void> {
+    co_await d.mount_all();
+    auto& c = native(d, 0);
+    co_await write_cold(c, "/cold", 14);
+    d.drop_all_server_caches();
+
+    auto g = co_await c.open("/cold", false);
+    const uint64_t before = c.stats().rpcs;
+    for (uint64_t off = 0; off < kColdFile; off += 8_KiB) {
+      Payload p = co_await c.read(g, off, 8_KiB);
+      data_ok = data_ok && p == pattern(14, off, 8_KiB);
+    }
+    reads = c.stats().rpcs - before;
+    co_await c.close(g);
+  }(d, reads, data_ok));
+  d.simulation().run();
+
+  EXPECT_TRUE(data_ok);
+  // The first 8 KB is a demand READ.  Every READ after it ends on a 2 MB
+  // boundary, so each covers one whole stripe unit on one DS; a window
+  // ending 8 KB past a boundary would split every stripe into two READs.
+  EXPECT_EQ(reads, 1 + kColdFile / 2_MiB);
+  EXPECT_EQ(native(d, 0).stats().wire_read_bytes, kColdFile);
+}
+
+TEST(ClientSched, ConcurrentColdReadsReadEachDiskByteOnce) {
+  constexpr uint32_t kClients = 8;
+  core::Deployment d(cold_read_config(kClients));
+  uint64_t disk_read = 0;
+  uint32_t files_ok = 0;
+  d.simulation().spawn([](core::Deployment& d, uint64_t& disk_read,
+                          uint32_t& files_ok) -> Task<void> {
+    co_await d.mount_all();
+    for (uint32_t i = 0; i < kClients; ++i) {
+      co_await write_cold(native(d, i), "/f" + std::to_string(i), 20 + i);
+    }
+    d.drop_all_server_caches();
+    const uint64_t before = d.disk_read_bytes();
+
+    // Every client streams its own file back at once, so their DS reads
+    // queue behind each other on the six disks.
+    sim::WaitGroup wg(d.simulation());
+    for (uint32_t i = 0; i < kClients; ++i) {
+      wg.spawn([](NfsClient& c, uint32_t i, uint32_t& files_ok) -> Task<void> {
+        auto g = co_await c.open("/f" + std::to_string(i), false);
+        bool ok = true;
+        for (uint64_t off = 0; off < kColdFile; off += 8_KiB) {
+          Payload p = co_await c.read(g, off, 8_KiB);
+          ok = ok && p == pattern(20 + i, off, 8_KiB);
+        }
+        co_await c.close(g);
+        if (ok) ++files_ok;
+      }(native(d, i), i, files_ok));
+    }
+    co_await wg.wait();
+    disk_read = d.disk_read_bytes() - before;
+  }(d, disk_read, files_ok));
+  d.simulation().run();
+
+  EXPECT_EQ(files_ok, kClients);
+  // Every READ after the first ends on a 2 MB boundary, so no two READs in
+  // flight share a 1 MiB store block and each block leaves the disk once.
+  // A window ending 8 KB past a stripe boundary would send an
+  // 8 KB READ that pulls in the next stripe's first block; the READ for the
+  // rest of that stripe, arriving while that block read still queues,
+  // misses and reads it again.
+  EXPECT_EQ(disk_read, kClients * kColdFile);
 }
 
 }  // namespace

@@ -55,6 +55,15 @@ TEST(PaperShapes, SmallBlocksDoNotHurtDirectButCrushPvfs2) {
   EXPECT_LT(pvfs_small, 0.5 * pvfs_large);
 }
 
+TEST(PaperShapes, SmallBlocksDoNotHurtDirectSingleFileReads) {
+  // §6.2.1 / Fig 7d: "8 KB blocks leave the NFS family unaffected", also
+  // when the clients read disjoint regions of one shared file.
+  const double separate = ior_mbps(Architecture::kDirectPnfs, false, k8KB, 4);
+  const double single =
+      ior_mbps(Architecture::kDirectPnfs, false, k8KB, 4, /*single_file=*/true);
+  EXPECT_GE(single, 0.9 * separate);
+}
+
 TEST(PaperShapes, TwoTierLosesHalfOnSlowNetwork) {
   // §6.2 / Fig 6c: inter-server transfers halve pNFS-2tier on 100 Mbps.
   const double direct =
