@@ -107,11 +107,7 @@ Task<void> read_one(core::Deployment& d, size_t client, size_t file,
     Payload got = co_await f->read(off, n);
     if (!(got == pattern(base + off, n))) all = false;
   }
-  try {
-    co_await f->close();
-  } catch (const std::exception&) {
-    // Close-time attribute gathering may brush the dead daemon.
-  }
+  co_await f->close();
   ok = all ? 1 : 0;
 }
 
@@ -148,7 +144,7 @@ ReadResult run_degraded_read(pvfs::DistKind kind, uint32_t clients,
   if (kill) {
     // Fast-failure posture for a node that is never coming back (mirrors
     // `simulate --fault-ds-kill`): bounded deadlines, a hair-trigger
-    // breaker that stays open, fast-failing meta-side size gathers.
+    // breaker that stays open, fast-failing meta-side PVFS requests.
     cfg.nfs_client.ds_timeout = sim::ms(200);
     cfg.nfs_client.ds_rpc_retries = 2;
     cfg.nfs_client.slice_retries = 1;

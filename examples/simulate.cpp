@@ -320,9 +320,10 @@ int main(int argc, char** argv) {
       cfg.faults.crash_service(node, rpc::kPvfsIoPort, at, sim::kNever);
     }
     enable_restart_recovery();
-    // The node is never coming back: meta-side size gathers must fast-fail
-    // on the dead daemon (redundant kinds tolerate the miss) instead of
-    // burning a restart-sized retry budget inside every MDS attribute call.
+    // The node is never coming back: the MDS's own PVFS requests (dfile
+    // creates, first-resolve size gathers) must fast-fail on the dead
+    // daemon (redundant kinds tolerate the miss) instead of burning a
+    // restart-sized retry budget inside the MDS call that waits on them.
     cfg.pvfs_client.io_timeout = sim::ms(200);
     cfg.pvfs_client.io_retries = 1;
     cfg.nfs_client.mds_timeout = sim::ms(3000);

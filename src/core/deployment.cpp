@@ -101,10 +101,10 @@ Deployment::Deployment(ClusterConfig config)
 }
 
 Deployment::~Deployment() {
+  // Parked server workers, periodic loops and whatever a test abandoned
+  // mid-run still reference the members below: release their frames first.
+  sim_.destroy_detached();
   util::set_log_sink(std::move(prev_log_sink_));
-  for (auto& server : nfs_servers_) server->stop();
-  for (auto& server : pvfs_storage_) server->stop();
-  if (pvfs_meta_) pvfs_meta_->stop();
 }
 
 // ---------------------------------------------------------------------------

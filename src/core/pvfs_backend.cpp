@@ -66,6 +66,14 @@ std::optional<FileHandle> FhRegistry::find_path(const std::string& path) const {
   return FileHandle{it->second};
 }
 
+std::vector<FileHandle> FhRegistry::files() const {
+  std::vector<FileHandle> out;
+  for (const auto& [id, e] : entries_) {
+    if (e.file != nullptr) out.push_back(FileHandle{id});
+  }
+  return out;
+}
+
 void FhRegistry::erase(const std::string& path) {
   auto it = by_path_.find(path);
   if (it == by_path_.end()) return;
@@ -132,11 +140,31 @@ Task<Status> PvfsBackend::getattr(FileHandle fh, Fattr* out) {
     co_return Status::kOk;
   }
   if (e->file == nullptr) co_return Status::kStale;
-  // The "ripple effect": an NFS GETATTR becomes a PVFS size gather across
-  // the storage nodes.
-  const uint64_t size = co_await client_.fetch_size(e->file);
-  *out = Fattr{nfs::FileType::kRegular, e->file->meta.handle, size, e->change, 0};
-  (void)st;
+  // No per-call gather: LAYOUTCOMMIT and the writes this server proxies keep
+  // the size current (the "ripple effect" stays with native PVFS2 clients).
+  const pvfs::PvfsFilePtr file = e->file;
+  st = co_await regather_size(fh, file);
+  if (st != Status::kOk) co_return st;
+  e = registry_->find(fh);
+  *out = Fattr{nfs::FileType::kRegular, file->meta.handle, file->size,
+               e != nullptr ? e->change : 0, 0};
+  co_return Status::kOk;
+}
+
+void PvfsBackend::on_server_restart() {
+  client_.drop_replay_state();
+  for (const FileHandle fh : registry_->files()) unsized_.insert(fh.id);
+}
+
+Task<Status> PvfsBackend::regather_size(FileHandle fh,
+                                        const pvfs::PvfsFilePtr& file) {
+  if (!unsized_.contains(fh.id)) co_return Status::kOk;
+  try {
+    co_await client_.fetch_size(file);
+  } catch (const pvfs::PvfsError& err) {
+    co_return from_pvfs(err.status());
+  }
+  unsized_.erase(fh.id);
   co_return Status::kOk;
 }
 
@@ -199,12 +227,15 @@ Task<Status> PvfsBackend::open(FileHandle dir, const std::string& name,
   const std::string path = join(d->path, name);
 
   pvfs::PvfsFilePtr file;
-  // Fast path: a data server or the MDS already interned this file.
+  // Fast path: a data server or the MDS already interned this file and
+  // holds its current size.
   if (auto fh = registry_->find_path(path)) {
     FhRegistry::Entry* e = registry_->find(*fh);
     if (e->is_dir) co_return Status::kIsDir;
     file = e->file;
   }
+  // First resolve: the size comes from one gather, inside client_.open or,
+  // for a new file, right after the create.
   if (file == nullptr) {
     bool must_create = false;
     try {
@@ -218,16 +249,15 @@ Task<Status> PvfsBackend::open(FileHandle dir, const std::string& name,
     if (must_create) {
       try {
         file = co_await client_.create(path);
+        co_await client_.fetch_size(file);
       } catch (const pvfs::PvfsError& err2) {
         co_return from_pvfs(err2.status());
       }
     }
   }
   *out = registry_->intern_file(path, file);
-  // Attribute gathering on open: the authoritative size lives on the
-  // storage nodes (stale for files written through co-located pNFS data
-  // servers, which bypass this PVFS client).
-  co_await client_.fetch_size(file);
+  st = co_await regather_size(*out, file);
+  if (st != Status::kOk) co_return st;
   FhRegistry::Entry* e = registry_->find(*out);
   *attr = Fattr{nfs::FileType::kRegular, file->meta.handle, file->size,
                 e != nullptr ? e->change : 0, 0};

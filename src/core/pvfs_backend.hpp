@@ -17,12 +17,20 @@
 // Filehandles are interned in an `FhRegistry` shared by the MDS and all
 // data servers of one deployment (standing in for the pNFS control
 // protocol's filehandle agreement).
+//
+// The backend answers OPEN and GETATTR from the size it holds.  It gathers
+// dfile sizes from the storage daemons only when it first resolves a file
+// and on a file's first use after the server restarts; LAYOUTCOMMIT, SETATTR
+// and writes through the embedded PVFS client keep the size current between
+// gathers (RFC 5661 §12.5.4).
 #pragma once
 
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "core/translator.hpp"
 #include "nfs/backend.hpp"
@@ -56,6 +64,8 @@ class FhRegistry {
   nfs::FileHandle intern_file(const std::string& path, pvfs::PvfsFilePtr file);
   Entry* find(nfs::FileHandle fh);
   std::optional<nfs::FileHandle> find_path(const std::string& path) const;
+  /// Every interned regular file.
+  std::vector<nfs::FileHandle> files() const;
   void erase(const std::string& path);
   void rename(const std::string& from, const std::string& to);
 
@@ -107,8 +117,9 @@ class PvfsBackend final : public nfs::Backend, public PfsLayoutProvider {
                                 obs::TraceContext trace = {}) override;
 
   // A restart of the exporting NFS server must not let its embedded PVFS
-  // client resurrect the dead incarnation's buffered write pieces.
-  void on_server_restart() override { client_.drop_replay_state(); }
+  // client resurrect the dead incarnation's buffered write pieces, and the
+  // sizes it held died with it.
+  void on_server_restart() override;
 
   // -- PfsLayoutProvider -------------------------------------------------------
   bool describe(nfs::FileHandle fh, PfsLayoutDescription* out) override;
@@ -124,12 +135,19 @@ class PvfsBackend final : public nfs::Backend, public PfsLayoutProvider {
   FhRegistry::Entry* dir_entry(nfs::FileHandle fh, nfs::Status* st);
   FhRegistry::Entry* file_entry(nfs::FileHandle fh, nfs::Status* st);
 
+  /// Gathers the size of a file this server has not used since it
+  /// restarted; a no-op otherwise.
+  sim::Task<nfs::Status> regather_size(nfs::FileHandle fh,
+                                       const pvfs::PvfsFilePtr& file);
+
   /// Device offset -> logical file offset under the synthetic dense view.
   uint64_t to_file_offset(uint64_t dev_offset) const;
 
   pvfs::PvfsClient& client_;
   std::shared_ptr<FhRegistry> registry_;
   std::optional<StripeView> stripe_view_;
+  /// Files known before the last restart whose size is not re-gathered yet.
+  std::set<uint64_t> unsized_;
 };
 
 }  // namespace dpnfs::core

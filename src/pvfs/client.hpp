@@ -70,7 +70,10 @@ struct PvfsClientStats {
 /// An open PVFS2 file: distribution metadata plus a cached logical size.
 struct PvfsFile {
   FileMeta meta;
-  uint64_t size = 0;  ///< client's view; authoritative size needs a gather
+  /// Client's view, refreshed by `fetch_size`.  Native clients gather on
+  /// every open and stat; a pNFS server's embedded client keeps this
+  /// current from LAYOUTCOMMIT and its own writes instead.
+  uint64_t size = 0;
 };
 using PvfsFilePtr = std::shared_ptr<PvfsFile>;
 

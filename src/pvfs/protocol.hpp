@@ -5,7 +5,9 @@
 // (data file) objects.  Like PVFS2, file *size* is not stored at the
 // metadata server — clients gather dfile sizes from the storage nodes and
 // reconstruct the logical size (the metadata-decentralization property
-// §6.4.3 contrasts with NFSv4's central server).
+// §6.4.3 contrasts with NFSv4's central server).  Native clients gather on
+// every open and stat; a pNFS server re-exporting the file system gathers
+// only on first resolve and after its restart (core/pvfs_backend.hpp).
 #pragma once
 
 #include <cstdint>

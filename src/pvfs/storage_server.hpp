@@ -32,7 +32,6 @@ class PvfsStorageServer {
                     lfs::ObjectStore& store, StorageServerConfig config = {});
 
   void start() { rpc_server_->start(); }
-  void stop() { rpc_server_->stop(); }
   rpc::RpcAddress address() const { return rpc_server_->address(); }
   /// Requests queued at the RPC daemon right now (utilization sampler).
   size_t rpc_queue_depth() const { return rpc_server_->queue_depth(); }

@@ -38,6 +38,7 @@ class FramePool {
  public:
   static void* allocate(std::size_t n) {
     Shard& sh = shard();
+    ++sh.live;
     const std::size_t cls = size_class(n);
     if (sh.enabled && cls < kClasses) {
       auto& list = sh.lists[cls];
@@ -60,10 +61,12 @@ class FramePool {
   }
 
   static void deallocate(void* p, std::size_t /*n*/) noexcept {
+    Shard& sh = shard();
+    --sh.live;
     auto* raw = static_cast<unsigned char*>(p) - kHeader;
     const unsigned cls = raw[0];
     if (cls < kClasses) {
-      auto& list = shard().lists[cls];
+      auto& list = sh.lists[cls];
       if (list.size() < kMaxPerClass) {
         list.push_back(raw);
         return;
@@ -78,6 +81,9 @@ class FramePool {
   using Stats = FramePoolStats;
   static Stats stats() noexcept { return shard().stats; }
   static void reset_stats() noexcept { shard().stats = Stats{}; }
+
+  /// Coroutine frames allocated on this thread and not yet freed.
+  static uint64_t live() noexcept { return shard().live; }
 
   /// Releases all cached blocks back to the system allocator.
   static void drain() noexcept {
@@ -108,6 +114,7 @@ class FramePool {
 
   struct Shard {
     bool enabled = true;
+    uint64_t live = 0;
     Stats stats;
     std::vector<void*> lists[kClasses];
   };

@@ -23,7 +23,9 @@ namespace dpnfs::sim {
 class Simulation {
  public:
   explicit Simulation(QueueKind queue_kind = QueueKind::kCalendar)
-      : queue_(queue_kind) {}
+      : queue_(queue_kind) {
+    roots_.prev = roots_.next = &roots_;
+  }
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -61,9 +63,16 @@ class Simulation {
   /// escaping exception terminates the program.
   void spawn(Task<void> task) {
     auto h = task.release();
-    h.promise().detached = true;
+    h.promise().link_after(roots_);
     schedule(0, h);
   }
+
+  /// Destroys every spawned task that has not finished — and with it every
+  /// frame it awaits — then drops the pending wake-ups, without advancing
+  /// the clock.  For teardown only: call it while the objects the frames'
+  /// locals reference are still alive, and run nothing afterwards, since
+  /// semaphores and channels may still hold the destroyed frames' handles.
+  void destroy_detached();
 
   /// Runs until the event queue is empty.  Returns the number of events
   /// processed.
@@ -91,6 +100,8 @@ class Simulation {
 
  private:
   EventQueue queue_;
+  /// Head of the list of live spawned tasks.
+  detail::RootLink roots_;
   Time now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;

@@ -12,6 +12,8 @@
 //   * A spawned (detached) task owns itself and self-destroys at final
 //     suspend.  An exception escaping a detached task terminates the
 //     program — simulation processes must handle their own errors.
+//     Until then it sits on its simulation's list of live roots, so
+//     `Simulation::destroy_detached` can release tasks that never finish.
 #pragma once
 
 #include <coroutine>
@@ -27,10 +29,31 @@ namespace dpnfs::sim {
 
 namespace detail {
 
-struct PromiseBase {
+/// Intrusive doubly-linked list node; a list head links to itself.
+struct RootLink {
+  RootLink* prev = nullptr;
+  RootLink* next = nullptr;
+
+  bool linked() const noexcept { return next != nullptr; }
+  void link_after(RootLink& head) noexcept {
+    prev = &head;
+    next = head.next;
+    head.next->prev = this;
+    head.next = this;
+  }
+  void unlink() noexcept {
+    prev->next = next;
+    next->prev = prev;
+    prev = next = nullptr;
+  }
+};
+
+struct PromiseBase : RootLink {
   std::coroutine_handle<> continuation;
-  bool detached = false;
   std::exception_ptr exception;
+
+  /// Spawned tasks are linked into their simulation's list of live roots.
+  bool detached() const noexcept { return linked(); }
 
   // Coroutine frames for every Task<T> route through the frame pool; see
   // frame_pool.hpp.  Inherited by each promise_type.
@@ -47,12 +70,13 @@ struct FinalAwaiter {
   std::coroutine_handle<> await_suspend(
       std::coroutine_handle<Promise> h) const noexcept {
     PromiseBase& p = h.promise();
-    if (p.detached) {
+    if (p.detached()) {
       if (p.exception) {
         std::fputs("fatal: exception escaped a detached simulation task\n",
                    stderr);
         std::terminate();
       }
+      p.unlink();
       h.destroy();
       return std::noop_coroutine();
     }

@@ -185,6 +185,35 @@ TEST_P(AllArchitectures, ConcurrentClientsSingleFileDisjointRegions) {
   }(d));
 }
 
+TEST_P(AllArchitectures, DestroyReleasesEveryCoroutineFrame) {
+  const uint64_t before = sim::FramePool::live();
+  {
+    Deployment d(small_config(GetParam()));
+    run(d, [](Deployment& d) -> Task<void> {
+      co_await d.mount_all();
+      auto f = co_await d.client(0).open("/done", true);
+      co_await f->write(0, Payload::virtual_bytes(2_MiB));
+      co_await f->close();
+    }(d));
+  }
+  EXPECT_EQ(sim::FramePool::live(), before);
+
+  // Torn down mid-run: I/O in flight and the periodic sampler still armed.
+  {
+    Deployment d(small_config(GetParam()));
+    d.start_sampling();
+    d.simulation().spawn([](Deployment& d) -> Task<void> {
+      co_await d.mount_all();
+      auto f = co_await d.client(1).open("/busy", true);
+      co_await f->write(0, Payload::virtual_bytes(64_MiB));
+      co_await f->close();
+    }(d));
+    d.simulation().run_until(sim::ms(50));
+    EXPECT_GT(sim::FramePool::live(), before);
+  }
+  EXPECT_EQ(sim::FramePool::live(), before);
+}
+
 TEST(DeploymentShape, DirectPnfsGrantsLayouts) {
   Deployment d(small_config(Architecture::kDirectPnfs));
   run(d, [](Deployment& d) -> Task<void> {

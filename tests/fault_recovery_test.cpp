@@ -560,6 +560,72 @@ TEST(FaultRecovery, MdsRestartRefetchesLayoutOncePerOpenFile) {
   EXPECT_GE(stats.session_recoveries, 1u);
 }
 
+/// GETSIZE requests the PVFS storage daemons have served so far.
+uint64_t getsize_served(const core::Deployment& d) {
+  uint64_t n = 0;
+  for (const obs::Span& s : d.tracer().retained_spans()) {
+    n += s.kind == obs::SpanKind::kServerExec && s.name == "pvfs.io/4";
+  }
+  return n;
+}
+
+TEST(FaultRecovery, MdsAnswersSizesWithoutGatheringUntilItRestarts) {
+  constexpr uint64_t kLen = 5_MiB + 1;
+  core::ClusterConfig cfg;
+  cfg.architecture = core::Architecture::kDirectPnfs;
+  cfg.storage_nodes = 6;
+  cfg.clients = 2;
+  cfg.trace_span_capacity = 1u << 16;  // keep every span countable
+  cfg.nfs_client.mds_timeout = sim::ms(500);
+  cfg.faults.crash_service(0, core::kMdsPort, sim::sec(2), sim::ms(2020));
+
+  core::Deployment d(cfg);
+  uint64_t open_stat_close = ~0ull;
+  uint64_t first_getattr = ~0ull;
+  uint64_t second_getattr = ~0ull;
+  uint64_t size_after_restart = 0;
+  d.simulation().spawn([](core::Deployment& d, uint64_t len, uint64_t& osc,
+                          uint64_t& first, uint64_t& second,
+                          uint64_t& size_after) -> Task<void> {
+    co_await d.mount_all();
+    auto w = co_await d.client(0).open("/f", true);
+    co_await w->write(0, pattern_payload(0, len));
+    co_await w->fsync();  // LAYOUTCOMMIT tells the MDS the new size
+
+    const uint64_t before = getsize_served(d);
+    auto r = co_await d.client(1).open_read("/f");
+    const uint64_t stat = co_await d.client(1).stat_size("/f");
+    co_await r->close();
+    osc = getsize_served(d) - before;
+    EXPECT_EQ(r->size(), len);
+    EXPECT_EQ(stat, len);
+
+    auto g = co_await d.client(1).open_read("/f");
+    EXPECT_TRUE(co_await g->read(0, len) == pattern_payload(0, len));
+    co_await g->close();
+    co_await w->close();
+    EXPECT_LT(d.simulation().now(), sim::sec(2));
+
+    // The restarted MDS lost the sizes it held: it gathers each file once.
+    co_await d.simulation().delay(sim::ms(2100) - d.simulation().now());
+    uint64_t mark = getsize_served(d);
+    size_after = co_await d.client(1).stat_size("/f");
+    first = getsize_served(d) - mark;
+    mark = getsize_served(d);
+    EXPECT_EQ(co_await d.client(1).stat_size("/f"), len);
+    second = getsize_served(d) - mark;
+  }(d, kLen, open_stat_close, first_getattr, second_getattr,
+                            size_after_restart));
+  d.simulation().run();
+
+  EXPECT_EQ(d.tracer().spans_dropped(), 0u);
+  // A per-call gather would cost 18: OPEN, GETATTR and CLOSE's GETATTR.
+  EXPECT_EQ(open_stat_close, 0u);
+  EXPECT_EQ(first_getattr, 6u);  // one gather across the six daemons
+  EXPECT_EQ(second_getattr, 0u);
+  EXPECT_EQ(size_after_restart, kLen);
+}
+
 // ---------------------------------------------------------------------------
 // Disk faults
 // ---------------------------------------------------------------------------

@@ -89,12 +89,7 @@ Task<void> writer_main(core::Deployment& d, size_t i, uint64_t& chunks,
   }
   chunks = n;
   co_await f->fsync();
-  try {
-    co_await f->close();
-  } catch (const std::exception&) {
-    // Close-time attribute gathering may brush the dead daemon; the data
-    // above is already durable.
-  }
+  co_await f->close();
   ok = 1;
 }
 

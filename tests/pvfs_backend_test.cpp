@@ -105,7 +105,7 @@ TEST(PvfsBackendProxy, NamespaceAndDataRoundTrip) {
     EXPECT_EQ(out, Payload::from_string("proxy data"));
     EXPECT_EQ(co_await backend.commit(fh), Status::kOk);
 
-    // Attribute gathering reports the true size.
+    // GETATTR reports the size the proxied write left behind.
     EXPECT_EQ(co_await backend.getattr(fh, &attr), Status::kOk);
     EXPECT_EQ(attr.size, 10u);
 

@@ -198,12 +198,8 @@ Task<void> degraded_scenario(core::Deployment& d, bool rotate,
   // Second read: the breaker is open now, so routing remaps up front.
   Payload again = co_await g->read(0, kTotal);
   data_ok = data_ok && again == oracle(0, kTotal);
-  try {
-    co_await g->close();
-    co_await f->close();
-  } catch (const std::exception&) {
-    // Close-time size gathering may brush the dead daemon; data is durable.
-  }
+  co_await g->close();
+  co_await f->close();
 }
 
 DegradedOutcome run_degraded(core::ClusterConfig cfg,
