@@ -43,6 +43,42 @@ std::vector<std::string> path_components(const std::string& path) {
   return out;
 }
 
+/// Starts a compound with its SEQUENCE op.  The session id is a placeholder:
+/// call() patches the live one in before every send.
+CompoundBuilder with_sequence() {
+  CompoundBuilder b;
+  b.add(OpCode::kSequence, SequenceArgs{SessionId{}, 0});
+  return b;
+}
+
+/// SEQUENCE + PUTFH(fh): the prefix of every compound that acts on a file.
+CompoundBuilder compound_for(const FileHandle& fh) {
+  CompoundBuilder b = with_sequence();
+  b.add(OpCode::kPutFh, PutFhArgs{fh});
+  return b;
+}
+
+/// Checks the SEQUENCE and PUTFH results of a compound_for() compound.
+void expect_sequence_putfh(CompoundReply& r) {
+  r.expect(OpCode::kSequence);
+  r.expect(OpCode::kPutFh);
+}
+
+/// A short read's missing tail reads as zeros: real ones for inline
+/// content, a virtual run for virtual content.
+void zero_fill(Payload& p, uint64_t missing) {
+  if (p.size() == 0 || p.is_inline()) {
+    p.append(Payload::inline_bytes(
+        std::vector<std::byte>(missing, std::byte{0})));
+  } else {
+    p.append(Payload::virtual_bytes(missing));
+  }
+}
+
+bool redundant(const NfsClient::FileState& f) {
+  return f.layout && redundant_aggregation(f.layout->aggregation);
+}
+
 }  // namespace
 
 NfsClient::NfsClient(rpc::RpcFabric& fabric, sim::Node& node,
@@ -54,83 +90,45 @@ NfsClient::NfsClient(rpc::RpcFabric& fabric, sim::Node& node,
       mds_(mds),
       rpc_(fabric, node, std::move(principal)),
       config_(config),
-      aggregations_(std::move(aggregations)) {
+      aggregations_(std::move(aggregations)),
+      metrics_(fabric.metrics() != nullptr ? fabric.metrics() : &own_metrics_) {
   rpc_.set_tenant(config_.tenant_id);
   if (!aggregations_) {
     aggregations_ = std::make_shared<const AggregationRegistry>(
         AggregationRegistry::with_standard_drivers());
   }
-  if (obs::MetricsRegistry* reg = fabric.metrics()) {
-    const std::string& n = node.name();
-    m_hit_bytes_ = &reg->counter(n, "client.cache", "hit_bytes");
-    m_miss_bytes_ = &reg->counter(n, "client.cache", "miss_bytes");
-    m_read_bytes_ = &reg->counter(n, "client.cache", "read_bytes");
-    m_write_bytes_ = &reg->counter(n, "client.cache", "write_bytes");
-    m_readahead_fetches_ =
-        &reg->counter(n, "client.cache", "readahead_fetches");
-    m_rpcs_ = &reg->counter(n, "client.cache", "rpcs");
-    m_sched_writes_ = &reg->counter(n, "client.sched", "dispatched_writes");
-    m_sched_bytes_ = &reg->counter(n, "client.sched", "dispatched_bytes");
-    m_sched_coalesced_extents_ =
-        &reg->counter(n, "client.sched", "coalesced_extents");
-    m_sched_coalesced_bytes_ =
-        &reg->counter(n, "client.sched", "coalesced_bytes");
-    m_vectored_writes_ = &reg->counter(n, "client.sched", "vectored_writes");
-    m_vectored_regions_ = &reg->counter(n, "client.sched", "vectored_regions");
-    m_vectored_bytes_ = &reg->counter(n, "client.sched", "vectored_bytes");
-    m_retries_ = &reg->counter(n, "client.recovery", "retries");
-    m_fallbacks_ = &reg->counter(n, "client.recovery", "fallbacks");
-    m_breaker_trips_ = &reg->counter(n, "client.recovery", "breaker_trips");
-    m_layout_refetches_ =
-        &reg->counter(n, "client.recovery", "layout_refetches");
-    m_rpc_retries_ = &reg->counter(n, "client.recovery", "rpc_retries");
-    m_verifier_mismatches_ =
-        &reg->counter(n, "client.replay", "verifier_mismatches");
-    m_replayed_extents_ = &reg->counter(n, "client.replay", "replayed_extents");
-    m_replayed_bytes_ = &reg->counter(n, "client.replay", "replayed_bytes");
-    m_session_recoveries_ =
-        &reg->counter(n, "client.replay", "session_recoveries");
-    m_replica_reroutes_ =
-        &reg->counter(n, "client.redundancy", "replica_reroutes");
-    m_degraded_reads_ = &reg->counter(n, "client.redundancy", "degraded_reads");
-    m_degraded_read_bytes_ =
-        &reg->counter(n, "client.redundancy", "degraded_read_bytes");
-    m_ec_reconstructions_ =
-        &reg->counter(n, "client.redundancy", "ec_reconstructions");
-    m_degraded_writes_ =
-        &reg->counter(n, "client.redundancy", "degraded_writes");
-    m_degraded_commits_ =
-        &reg->counter(n, "client.redundancy", "degraded_commits");
-  } else {
-    m_hit_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_miss_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_read_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_write_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_readahead_fetches_ = &obs::MetricsRegistry::null_counter();
-    m_rpcs_ = &obs::MetricsRegistry::null_counter();
-    m_sched_writes_ = &obs::MetricsRegistry::null_counter();
-    m_sched_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_sched_coalesced_extents_ = &obs::MetricsRegistry::null_counter();
-    m_sched_coalesced_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_vectored_writes_ = &obs::MetricsRegistry::null_counter();
-    m_vectored_regions_ = &obs::MetricsRegistry::null_counter();
-    m_vectored_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_retries_ = &obs::MetricsRegistry::null_counter();
-    m_fallbacks_ = &obs::MetricsRegistry::null_counter();
-    m_breaker_trips_ = &obs::MetricsRegistry::null_counter();
-    m_layout_refetches_ = &obs::MetricsRegistry::null_counter();
-    m_rpc_retries_ = &obs::MetricsRegistry::null_counter();
-    m_verifier_mismatches_ = &obs::MetricsRegistry::null_counter();
-    m_replayed_extents_ = &obs::MetricsRegistry::null_counter();
-    m_replayed_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_session_recoveries_ = &obs::MetricsRegistry::null_counter();
-    m_replica_reroutes_ = &obs::MetricsRegistry::null_counter();
-    m_degraded_reads_ = &obs::MetricsRegistry::null_counter();
-    m_degraded_read_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_ec_reconstructions_ = &obs::MetricsRegistry::null_counter();
-    m_degraded_writes_ = &obs::MetricsRegistry::null_counter();
-    m_degraded_commits_ = &obs::MetricsRegistry::null_counter();
-  }
+  const std::string& n = node.name();
+  const auto counter = [&](const char* component, const char* name) {
+    return &metrics_->counter(n, component, name);
+  };
+  m_hit_bytes_ = counter("client.cache", "hit_bytes");
+  m_miss_bytes_ = counter("client.cache", "miss_bytes");
+  m_read_bytes_ = counter("client.cache", "read_bytes");
+  m_write_bytes_ = counter("client.cache", "write_bytes");
+  m_readahead_fetches_ = counter("client.cache", "readahead_fetches");
+  m_rpcs_ = counter("client.cache", "rpcs");
+  m_sched_writes_ = counter("client.sched", "dispatched_writes");
+  m_sched_bytes_ = counter("client.sched", "dispatched_bytes");
+  m_sched_coalesced_extents_ = counter("client.sched", "coalesced_extents");
+  m_sched_coalesced_bytes_ = counter("client.sched", "coalesced_bytes");
+  m_vectored_writes_ = counter("client.sched", "vectored_writes");
+  m_vectored_regions_ = counter("client.sched", "vectored_regions");
+  m_vectored_bytes_ = counter("client.sched", "vectored_bytes");
+  m_retries_ = counter("client.recovery", "retries");
+  m_fallbacks_ = counter("client.recovery", "fallbacks");
+  m_breaker_trips_ = counter("client.recovery", "breaker_trips");
+  m_layout_refetches_ = counter("client.recovery", "layout_refetches");
+  m_rpc_retries_ = counter("client.recovery", "rpc_retries");
+  m_verifier_mismatches_ = counter("client.replay", "verifier_mismatches");
+  m_replayed_extents_ = counter("client.replay", "replayed_extents");
+  m_replayed_bytes_ = counter("client.replay", "replayed_bytes");
+  m_session_recoveries_ = counter("client.replay", "session_recoveries");
+  m_replica_reroutes_ = counter("client.redundancy", "replica_reroutes");
+  m_degraded_reads_ = counter("client.redundancy", "degraded_reads");
+  m_degraded_read_bytes_ = counter("client.redundancy", "degraded_read_bytes");
+  m_ec_reconstructions_ = counter("client.redundancy", "ec_reconstructions");
+  m_degraded_writes_ = counter("client.redundancy", "degraded_writes");
+  m_degraded_commits_ = counter("client.redundancy", "degraded_commits");
   // Transport-level retries surface under this client's recovery component.
   rpc_.set_retry_counter(m_rpc_retries_);
   tracer_ = fabric.tracer();
@@ -139,6 +137,39 @@ NfsClient::NfsClient(rpc::RpcFabric& fabric, sim::Node& node,
 }
 
 NfsClient::~NfsClient() = default;
+
+ClientStats NfsClient::stats() const {
+  ClientStats s;
+  s.bytes_read = m_read_bytes_->value();
+  s.bytes_written = m_write_bytes_->value();
+  s.wire_read_bytes = m_miss_bytes_->value();
+  s.wire_write_bytes =
+      m_sched_bytes_->value() + (config_.data_cache ? 0 : s.bytes_written);
+  s.rpcs = m_rpcs_->value();
+  s.cache_hit_bytes = m_hit_bytes_->value();
+  s.readahead_fetches = m_readahead_fetches_->value();
+  s.sched_writes = m_sched_writes_->value();
+  s.sched_coalesced_extents = m_sched_coalesced_extents_->value();
+  s.sched_coalesced_bytes = m_sched_coalesced_bytes_->value();
+  s.vectored_writes = m_vectored_writes_->value();
+  s.vectored_regions = m_vectored_regions_->value();
+  s.vectored_bytes = m_vectored_bytes_->value();
+  s.recovery_retries = m_retries_->value();
+  s.mds_fallbacks = m_fallbacks_->value();
+  s.breaker_trips = m_breaker_trips_->value();
+  s.layout_refetches = m_layout_refetches_->value();
+  s.verifier_mismatches = m_verifier_mismatches_->value();
+  s.replayed_extents = m_replayed_extents_->value();
+  s.replayed_bytes = m_replayed_bytes_->value();
+  s.session_recoveries = m_session_recoveries_->value();
+  s.replica_reroutes = m_replica_reroutes_->value();
+  s.degraded_reads = m_degraded_reads_->value();
+  s.degraded_read_bytes = m_degraded_read_bytes_->value();
+  s.ec_reconstructions = m_ec_reconstructions_->value();
+  s.degraded_writes = m_degraded_writes_->value();
+  s.degraded_commits = m_degraded_commits_->value();
+  return s;
+}
 
 // ---------------------------------------------------------------------------
 // Sessions and compound plumbing
@@ -164,7 +195,6 @@ Task<std::shared_ptr<NfsClient::Session>> NfsClient::session_for(
       auto raw = co_await rpc_.call(addr, rpc::Program::kNfs, kNfsVersion,
                                     kProcCompound, std::move(b).finish(),
                                     call_options(addr));
-      ++stats_.rpcs;
       m_rpcs_->inc();
       CompoundReply r1(std::move(raw));
       const auto eid = r1.expect<ExchangeIdRes>(OpCode::kExchangeId);
@@ -182,7 +212,6 @@ Task<std::shared_ptr<NfsClient::Session>> NfsClient::session_for(
       auto raw2 = co_await rpc_.call(addr, rpc::Program::kNfs, kNfsVersion,
                                      kProcCompound, std::move(b2).finish(),
                                      call_options(addr));
-      ++stats_.rpcs;
       m_rpcs_->inc();
       CompoundReply r2(std::move(raw2));
       const auto cs = r2.expect<CreateSessionRes>(OpCode::kCreateSession);
@@ -249,7 +278,6 @@ void NfsClient::session_lost(const rpc::RpcAddress& addr,
       it != sessions_.end() && it->second->id == sid) {
     sessions_.erase(it);
   }
-  ++stats_.session_recoveries;
   m_session_recoveries_->inc();
   if (addr == mds_) {
     // The MDS restarted: layouts and open stateids it granted died with it.
@@ -267,14 +295,10 @@ void NfsClient::session_lost(const rpc::RpcAddress& addr,
              "re-establishing",
              static_cast<unsigned long long>(sid.id), addr.node_id,
              static_cast<unsigned>(addr.port));
-  if (obs::FlightRecorder* flight = fabric_.flight()) {
-    flight->record(fabric_.simulation().now(), node_.name(), "nfs.client",
-                   "session.lost",
-                   util::sformat("session %llu node %u port %u",
-                                 static_cast<unsigned long long>(sid.id),
-                                 addr.node_id,
-                                 static_cast<unsigned>(addr.port)));
-  }
+  flight_event("session.lost",
+               util::sformat("session %llu node %u port %u",
+                             static_cast<unsigned long long>(sid.id),
+                             addr.node_id, static_cast<unsigned>(addr.port)));
 }
 
 Task<rpc::RpcClient::Reply> NfsClient::call(rpc::RpcAddress addr,
@@ -299,7 +323,6 @@ Task<rpc::RpcClient::Reply> NfsClient::call(rpc::RpcAddress addr,
                      static_cast<sim::Duration>(config_.cpu_ns_per_byte *
                                                 static_cast<double>(data_bytes));
     co_await node_.cpu().execute(cpu);
-    ++stats_.rpcs;
     m_rpcs_->inc();
     rpc::CallOptions opts = call_options(addr);
     opts.parent = trace_parent;
@@ -317,13 +340,12 @@ Task<rpc::RpcClient::Reply> NfsClient::call(rpc::RpcAddress addr,
   }
 }
 
-/// Starts a compound with a SEQUENCE op for `addr`'s session.  The session
-/// must already exist (call() creates it on demand, but the SEQUENCE carries
-/// the id, so callers go through session_for first).
-static CompoundBuilder with_sequence(const SessionId& sid) {
-  CompoundBuilder b;
-  b.add(OpCode::kSequence, SequenceArgs{sid, 0});
-  return b;
+void NfsClient::flight_event(const char* kind,
+                             const std::string& detail) const {
+  if (obs::FlightRecorder* flight = fabric_.flight()) {
+    flight->record(fabric_.simulation().now(), node_.name(), "nfs.client",
+                   kind, detail);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -332,9 +354,7 @@ static CompoundBuilder with_sequence(const SessionId& sid) {
 
 Task<void> NfsClient::mount() {
   if (mounted_) co_return;
-  auto s = co_await session_for(mds_);
-
-  CompoundBuilder b = with_sequence(s->id);
+  CompoundBuilder b = with_sequence();
   b.add(OpCode::kPutRootFh);
   b.add(OpCode::kGetFh);
   CompoundReply r(co_await call(mds_, std::move(b), 0));
@@ -344,7 +364,7 @@ Task<void> NfsClient::mount() {
   dentry_cache_["/"] = root_fh_;
 
   if (config_.pnfs_enabled) {
-    CompoundBuilder b2 = with_sequence(s->id);
+    CompoundBuilder b2 = with_sequence();
     b2.add(OpCode::kPutRootFh);
     b2.add(OpCode::kGetDeviceList);
     CompoundReply r2(co_await call(mds_, std::move(b2), 0));
@@ -382,16 +402,13 @@ Task<FileHandle> NfsClient::resolve(const std::string& path) {
   }
   if (start == comps.size()) co_return cur_fh;
 
-  auto s = co_await session_for(mds_);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{cur_fh});
+  CompoundBuilder b = compound_for(cur_fh);
   for (size_t i = start; i < comps.size(); ++i) {
     b.add(OpCode::kLookup, LookupArgs{comps[i]});
     b.add(OpCode::kGetFh);
   }
   CompoundReply r(co_await call(mds_, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
+  expect_sequence_putfh(r);
   std::string walked = (cur == "/") ? "" : cur;
   FileHandle fh = cur_fh;
   for (size_t i = start; i < comps.size(); ++i) {
@@ -492,30 +509,25 @@ Task<void> NfsClient::serve_callback(const rpc::CallContext& ctx,
 
 Task<void> NfsClient::truncate(const std::string& path, uint64_t size) {
   const FileHandle fh = co_await resolve(path);
-  auto s = co_await session_for(mds_);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{fh});
+  CompoundBuilder b = compound_for(fh);
   b.add(OpCode::kSetattr, SetattrArgs{true, size});
   CompoundReply r(co_await call(mds_, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
+  expect_sequence_putfh(r);
   r.expect(OpCode::kSetattr);
   // Our own cached view of the file, if any, must shrink too.
   for (auto& [ino, state] : files_) {
     if (!(state->fh == fh)) continue;
     if (size < state->size) {
       const uint64_t valid_before = state->valid.total_length();
-      const uint64_t dirty_before = state->dirty.total_length();
       state->valid.subtract(size, ~0ull);
-      state->dirty.subtract(size, ~0ull);
+      account_cached(-static_cast<int64_t>(valid_before -
+                                           state->valid.total_length()));
+      remove_dirty(*state, size, ~0ull);
       state->content.drop(size, ~0ull);
       // Truncated bytes need no replay either.
       for (auto& [idx, t] : state->commit_targets) {
         t.uncommitted.subtract(size, ~0ull);
       }
-      account_valid_delta(*state, -static_cast<int64_t>(
-                                      valid_before - state->valid.total_length()));
-      dirty_bytes_ -= dirty_before - state->dirty.total_length();
     }
     state->size = size;
     break;
@@ -525,14 +537,11 @@ Task<void> NfsClient::truncate(const std::string& path, uint64_t size) {
 Task<void> NfsClient::mkdir(const std::string& path) {
   const auto [dir, name] = split_parent(path);
   const FileHandle parent = co_await resolve(dir);
-  auto s = co_await session_for(mds_);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{parent});
+  CompoundBuilder b = compound_for(parent);
   b.add(OpCode::kCreate, CreateArgs{name});
   b.add(OpCode::kGetFh);
   CompoundReply r(co_await call(mds_, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
+  expect_sequence_putfh(r);
   r.expect(OpCode::kCreate);
   dentry_cache_[path] = r.expect<GetFhRes>(OpCode::kGetFh).fh;
 }
@@ -540,13 +549,10 @@ Task<void> NfsClient::mkdir(const std::string& path) {
 Task<void> NfsClient::remove(const std::string& path) {
   const auto [dir, name] = split_parent(path);
   const FileHandle parent = co_await resolve(dir);
-  auto s = co_await session_for(mds_);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{parent});
+  CompoundBuilder b = compound_for(parent);
   b.add(OpCode::kRemove, RemoveArgs{name});
   CompoundReply r(co_await call(mds_, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
+  expect_sequence_putfh(r);
   r.expect(OpCode::kRemove);
   invalidate_dentries(path);
 }
@@ -556,15 +562,12 @@ Task<void> NfsClient::rename(const std::string& from, const std::string& to) {
   const auto [dst_dir, new_name] = split_parent(to);
   const FileHandle src = co_await resolve(src_dir);
   const FileHandle dst = co_await resolve(dst_dir);
-  auto s = co_await session_for(mds_);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{src});
+  CompoundBuilder b = compound_for(src);
   b.add(OpCode::kSaveFh);
   b.add(OpCode::kPutFh, PutFhArgs{dst});
   b.add(OpCode::kRename, RenameArgs{old_name, new_name});
   CompoundReply r(co_await call(mds_, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
+  expect_sequence_putfh(r);
   r.expect(OpCode::kSaveFh);
   r.expect(OpCode::kPutFh);
   r.expect(OpCode::kRename);
@@ -574,25 +577,19 @@ Task<void> NfsClient::rename(const std::string& from, const std::string& to) {
 
 Task<std::vector<DirEntry>> NfsClient::readdir(const std::string& path) {
   const FileHandle dir = co_await resolve(path);
-  auto s = co_await session_for(mds_);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{dir});
+  CompoundBuilder b = compound_for(dir);
   b.add(OpCode::kReaddir);
   CompoundReply r(co_await call(mds_, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
+  expect_sequence_putfh(r);
   co_return r.expect<ReaddirRes>(OpCode::kReaddir).entries;
 }
 
 Task<Fattr> NfsClient::stat(const std::string& path) {
   const FileHandle fh = co_await resolve(path);
-  auto s = co_await session_for(mds_);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{fh});
+  CompoundBuilder b = compound_for(fh);
   b.add(OpCode::kGetattr);
   CompoundReply r(co_await call(mds_, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
+  expect_sequence_putfh(r);
   co_return r.expect<GetattrRes>(OpCode::kGetattr).attr;
 }
 
@@ -618,9 +615,7 @@ Task<NfsClient::FilePtr> NfsClient::open(const std::string& path, bool create,
 
   const auto [dir, name] = split_parent(path);
   const FileHandle parent = co_await resolve(dir);
-  auto s = co_await session_for(mds_);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{parent});
+  CompoundBuilder b = compound_for(parent);
   b.add(OpCode::kOpen,
         OpenArgs{name, create,
                  read_only ? ShareAccess::kRead : ShareAccess::kBoth});
@@ -632,8 +627,7 @@ Task<NfsClient::FilePtr> NfsClient::open(const std::string& path, bool create,
                         0, ~0ull});
   }
   CompoundReply r(co_await call(mds_, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
+  expect_sequence_putfh(r);
   const auto open_res = r.expect<OpenRes>(OpCode::kOpen);
   const FileHandle fh = r.expect<GetFhRes>(OpCode::kGetFh).fh;
 
@@ -713,14 +707,11 @@ Task<void> NfsClient::close(FilePtr file) {
       file->stateid =
           file->open_stateids.empty() ? closing : file->open_stateids.back();
     }
-    auto s = co_await session_for(mds_);
-    CompoundBuilder b = with_sequence(s->id);
-    b.add(OpCode::kPutFh, PutFhArgs{file->fh});
+    CompoundBuilder b = compound_for(file->fh);
     b.add(OpCode::kGetattr);  // refresh change/size for close-to-open caching
     b.add(OpCode::kClose, CloseArgs{closing});
     CompoundReply r(co_await call(mds_, std::move(b), 0));
-    r.expect(OpCode::kSequence);
-    r.expect(OpCode::kPutFh);
+    expect_sequence_putfh(r);
     fresh = r.expect<GetattrRes>(OpCode::kGetattr).attr;
     r.expect(OpCode::kClose);
     --file->server_opens;
@@ -743,18 +734,10 @@ Task<void> NfsClient::close(FilePtr file) {
 }
 
 void NfsClient::invalidate_clean(FileState& st) {
-  // Pinned ranges (dirty + retained uncommitted writes) survive: dropping a
-  // retained range would discard the only copy a restart replay needs.
-  const util::IntervalSet pin = st.pinned();
-  account_valid_delta(st, -static_cast<int64_t>(st.valid.total_length() -
-                                                pin.total_length()));
-  for (const auto& iv : st.valid.intervals()) {
-    for (const auto& clean : pin.gaps(iv.start, iv.end)) {
-      st.content.drop(clean.start, clean.end);
-    }
-  }
-  st.valid = pin;
-  st.readahead_high = 0;
+  // The cache shrinks to the pinned set, whatever part of it was valid.
+  const uint64_t before = st.valid.total_length();
+  drop_clean(st);
+  account_cached(static_cast<int64_t>(st.valid.total_length() - before));
 }
 
 uint64_t NfsClient::file_size(const FilePtr& file) const { return file->size; }
@@ -762,21 +745,12 @@ uint64_t NfsClient::file_size(const FilePtr& file) const { return file->size; }
 void NfsClient::drop_caches() {
   for (auto it = files_.begin(); it != files_.end();) {
     FileState& st = *it->second;
-    const util::IntervalSet pin = st.pinned();
-    if (st.open_count == 0 && pin.empty()) {
-      account_valid_delta(st, -static_cast<int64_t>(st.valid.total_length()));
-      dirty_bytes_ -= st.dirty.total_length();
+    if (st.open_count == 0 && st.pinned().empty()) {
+      account_cached(-static_cast<int64_t>(st.valid.total_length()));
       it = files_.erase(it);
       continue;
     }
-    for (const auto& iv : st.valid.intervals()) {
-      for (const auto& clean : pin.gaps(iv.start, iv.end)) {
-        st.content.drop(clean.start, clean.end);
-        account_valid_delta(st, -static_cast<int64_t>(clean.length()));
-      }
-    }
-    st.valid = pin;
-    st.readahead_high = 0;
+    account_cached(-static_cast<int64_t>(drop_clean(st)));
     ++it;
   }
 }
@@ -815,51 +789,42 @@ std::vector<NfsClient::IoSlice> NfsClient::route(FileState& f, uint64_t offset,
                               ? driver->map_write(*f.layout, offset, length)
                               : driver->map_read(*f.layout, offset, length);
     out.reserve(segments.size());
-    const bool redundant = redundant_aggregation(f.layout->aggregation);
+    const bool redundant_layout = redundant(f);
     for (const auto& seg : segments) {
       IoSlice slice;
-      slice.device_index = seg.device_index;
-      slice.addr = devices_.at(f.layout->devices[seg.device_index]);
-      slice.fh = f.layout->fhs[seg.device_index];
+      aim_at_device(f, slice, seg.device_index);
       slice.stateid = kDataServerStateid;
       slice.target_offset = seg.dev_offset;
       slice.file_offset = seg.file_offset;
       slice.length = seg.length;
       slice.parity = seg.parity;
-      if (!for_write && redundant &&
+      if (!for_write && redundant_layout &&
           device_unhealthy(f, seg.device_index, seg.file_offset,
                            seg.file_offset + seg.length)) {
         // Health-aware replica selection: route the read to a surviving
         // copy up front instead of burning retries on a sick device.
         // Erasure-coded layouts have no same-bytes replica; their slices go
-        // out unchanged and reconstruct in run_read_slice's degraded rung.
+        // out unchanged and reconstruct in recover()'s redundancy rung.
         if (remap_replica(f, slice, seg.device_index)) {
-          ++stats_.replica_reroutes;
           m_replica_reroutes_->inc();
         }
         out.push_back(slice);
         continue;
       }
-      if (config_.mds_fallback && !redundant && !slice.parity &&
+      if (config_.mds_fallback && !redundant_layout && !slice.parity &&
           breaker_open(slice.addr)) {
         // Open breaker: don't even try the sick DS, proxy through the MDS.
         // Redundant layouts never take this path — their surviving copies
         // or parity serve the bytes via the degraded rungs instead.
         slice = mds_slice(f, seg.file_offset, seg.length);
-        ++stats_.mds_fallbacks;
         m_fallbacks_->inc();
-        if (obs::FlightRecorder* flight = fabric_.flight()) {
-          flight->record(fabric_.simulation().now(), node_.name(),
-                         "nfs.client", "mds.fallback",
-                         util::sformat("fileid %llu dev %zu %llu+%llu",
-                                       static_cast<unsigned long long>(
-                                           f.attr.fileid),
-                                       seg.device_index,
-                                       static_cast<unsigned long long>(
-                                           seg.file_offset),
-                                       static_cast<unsigned long long>(
-                                           seg.length)));
-        }
+        flight_event(
+            "mds.fallback",
+            util::sformat("fileid %llu dev %zu %llu+%llu",
+                          static_cast<unsigned long long>(f.attr.fileid),
+                          seg.device_index,
+                          static_cast<unsigned long long>(seg.file_offset),
+                          static_cast<unsigned long long>(seg.length)));
       }
       out.push_back(slice);
     }
@@ -889,19 +854,14 @@ void NfsClient::record_ds_result(const rpc::RpcAddress& addr, bool ok) {
   ++h.consecutive_failures;
   if (h.consecutive_failures == config_.breaker_threshold) {
     h.open_until = fabric_.simulation().now() + config_.breaker_reset;
-    ++stats_.breaker_trips;
     m_breaker_trips_->inc();
     util::logf(util::LogLevel::kWarn, "nfs.client", fabric_.simulation().now(),
                "circuit breaker opened for DS node %u port %u",
                addr.node_id, static_cast<unsigned>(addr.port));
-    if (obs::FlightRecorder* flight = fabric_.flight()) {
-      flight->record(fabric_.simulation().now(), node_.name(), "nfs.client",
-                     "breaker.trip",
-                     util::sformat("ds node %u port %u until %lld ns",
-                                   addr.node_id,
-                                   static_cast<unsigned>(addr.port),
-                                   static_cast<long long>(h.open_until)));
-    }
+    flight_event("breaker.trip",
+                 util::sformat("ds node %u port %u until %lld ns", addr.node_id,
+                               static_cast<unsigned>(addr.port),
+                               static_cast<long long>(h.open_until)));
   }
 }
 
@@ -913,24 +873,17 @@ Task<void> NfsClient::refetch_layout(FileState& f, bool force) {
     co_return;  // refreshed recently; don't hammer the MDS per failed slice
   }
   f.layout_refetched_at = now;
-  ++stats_.layout_refetches;
   m_layout_refetches_->inc();
-  if (obs::FlightRecorder* flight = fabric_.flight()) {
-    flight->record(now, node_.name(), "nfs.client", "layout.refetch",
-                   util::sformat("fileid %llu%s",
-                                 static_cast<unsigned long long>(
-                                     f.attr.fileid),
-                                 force ? " forced" : ""));
-  }
+  flight_event("layout.refetch",
+               util::sformat("fileid %llu%s",
+                             static_cast<unsigned long long>(f.attr.fileid),
+                             force ? " forced" : ""));
   try {
-    auto s = co_await session_for(mds_);
-    CompoundBuilder b = with_sequence(s->id);
-    b.add(OpCode::kPutFh, PutFhArgs{f.fh});
+    CompoundBuilder b = compound_for(f.fh);
     b.add(OpCode::kLayoutGet,
           LayoutGetArgs{LayoutIoMode::kReadWrite, 0, ~0ull});
     CompoundReply r(co_await call(mds_, std::move(b), 0));
-    r.expect(OpCode::kSequence);
-    r.expect(OpCode::kPutFh);
+    expect_sequence_putfh(r);
     if (r.try_next(OpCode::kLayoutGet) == Status::kOk) {
       FileLayout l = LayoutGetRes::decode(r.dec()).layout;
       const bool driver_ok = aggregations_->find(l.aggregation) != nullptr;
@@ -970,21 +923,16 @@ void NfsClient::note_unstable_write(FileState& f, const IoSlice& slice,
 
 void NfsClient::redirty_lost(FileState& f, size_t target) {
   auto it = f.commit_targets.find(target);
-  ++stats_.verifier_mismatches;
   m_verifier_mismatches_->inc();
   if (it == f.commit_targets.end() || it->second.uncommitted.empty()) return;
   uint64_t bytes = 0;
   uint64_t extents = 0;
   for (const auto& iv : it->second.uncommitted.intervals()) {
-    const uint64_t before = f.dirty.total_length();
-    f.dirty.add(iv.start, iv.end);
-    dirty_bytes_ += f.dirty.total_length() - before;
+    add_dirty(f, iv.start, iv.end);
     bytes += iv.length();
     ++extents;
   }
   it->second.uncommitted.clear();
-  stats_.replayed_extents += extents;
-  stats_.replayed_bytes += bytes;
   m_replayed_extents_->add(extents);
   m_replayed_bytes_->add(bytes);
   if (tracer_ != nullptr && tracer_->enabled()) {
@@ -1002,18 +950,13 @@ void NfsClient::redirty_lost(FileState& f, size_t target) {
     span.bytes_out = bytes;
     tracer_->record(std::move(span));
   }
-  if (obs::FlightRecorder* flight = fabric_.flight()) {
-    flight->record(fabric_.simulation().now(), node_.name(), "nfs.client",
-                   "wb.replay",
-                   util::sformat("fileid %llu target %lld %llu bytes "
-                                 "%llu extents",
-                                 static_cast<unsigned long long>(
-                                     f.attr.fileid),
-                                 static_cast<long long>(
-                                     static_cast<int64_t>(target)),
-                                 static_cast<unsigned long long>(bytes),
-                                 static_cast<unsigned long long>(extents)));
-  }
+  flight_event(
+      "wb.replay",
+      util::sformat("fileid %llu target %lld %llu bytes %llu extents",
+                    static_cast<unsigned long long>(f.attr.fileid),
+                    static_cast<long long>(static_cast<int64_t>(target)),
+                    static_cast<unsigned long long>(bytes),
+                    static_cast<unsigned long long>(extents)));
   util::logf(util::LogLevel::kWarn, "nfs.client", fabric_.simulation().now(),
              "write verifier changed for fileid %llu target %lld: replaying "
              "%llu bytes in %llu extents",
@@ -1053,6 +996,13 @@ bool replica_span(const FileLayout& l, size_t avoid, size_t* base,
 
 }  // namespace
 
+void NfsClient::aim_at_device(const FileState& f, IoSlice& slice,
+                              size_t dev) const {
+  slice.device_index = dev;
+  slice.addr = devices_.at(f.layout->devices[dev]);
+  slice.fh = f.layout->fhs[dev];
+}
+
 bool NfsClient::device_unhealthy(const FileState& f, size_t device,
                                  uint64_t start, uint64_t end) const {
   if (!f.layout || device >= f.layout->devices.size()) return false;
@@ -1079,9 +1029,7 @@ bool NfsClient::remap_replica(const FileState& f, IoSlice& slice,
                          slice.file_offset + slice.length)) {
       continue;
     }
-    slice.device_index = cand;
-    slice.addr = devices_.at(f.layout->devices[cand]);
-    slice.fh = f.layout->fhs[cand];
+    aim_at_device(f, slice, cand);
     return true;
   }
   return false;
@@ -1109,9 +1057,7 @@ Task<bool> NfsClient::ec_reconstruct_block(FileState& f, const IoSlice& slice,
     if (dev == want) continue;
     if (device_unhealthy(f, dev, grp_start, grp_end)) continue;
     IoSlice sh;
-    sh.device_index = dev;
-    sh.addr = devices_.at(f.layout->devices[dev]);
-    sh.fh = f.layout->fhs[dev];
+    aim_at_device(f, sh, dev);
     sh.stateid = kDataServerStateid;
     sh.target_offset = grp * su;
     sh.file_offset = dev < geo->k ? grp_start + dev * su : grp_start;
@@ -1134,15 +1080,12 @@ Task<bool> NfsClient::ec_reconstruct_block(FileState& f, const IoSlice& slice,
                        static_cast<uint32_t>(geo->m));
   if (!rs.reconstruct(&shards) || !shards[want]) co_return false;
   block = Payload::inline_bytes(std::move(*shards[want]));
-  ++stats_.ec_reconstructions;
   m_ec_reconstructions_->inc();
   co_return true;
 }
 
 Task<bool> NfsClient::degraded_read(FileState& f, IoSlice slice, Payload& out) {
-  if (!f.layout || !redundant_aggregation(f.layout->aggregation)) {
-    co_return false;
-  }
+  if (!redundant(f)) co_return false;
   const size_t home = slice.device_index;
   bool served = false;
   if (f.layout->aggregation == AggregationType::kErasureCoded) {
@@ -1178,9 +1121,7 @@ Task<bool> NfsClient::degraded_read(FileState& f, IoSlice slice, Payload& out) {
         continue;
       }
       IoSlice alt = slice;
-      alt.device_index = cand;
-      alt.addr = devices_.at(f.layout->devices[cand]);
-      alt.fh = f.layout->fhs[cand];
+      aim_at_device(f, alt, cand);
       try {
         out = co_await read_slice_op(f, alt);
         record_ds_result(alt.addr, true);
@@ -1191,21 +1132,14 @@ Task<bool> NfsClient::degraded_read(FileState& f, IoSlice slice, Payload& out) {
     }
   }
   if (!served) co_return false;
-  ++stats_.degraded_reads;
-  stats_.degraded_read_bytes += slice.length;
   m_degraded_reads_->inc();
   m_degraded_read_bytes_->add(slice.length);
-  if (obs::FlightRecorder* flight = fabric_.flight()) {
-    flight->record(fabric_.simulation().now(), node_.name(), "nfs.client",
-                   "degraded.read",
-                   util::sformat("fileid %llu dev %zu %llu+%llu",
-                                 static_cast<unsigned long long>(f.attr.fileid),
-                                 home,
-                                 static_cast<unsigned long long>(
-                                     slice.file_offset),
-                                 static_cast<unsigned long long>(
-                                     slice.length)));
-  }
+  flight_event("degraded.read",
+               util::sformat("fileid %llu dev %zu %llu+%llu",
+                             static_cast<unsigned long long>(f.attr.fileid),
+                             home,
+                             static_cast<unsigned long long>(slice.file_offset),
+                             static_cast<unsigned long long>(slice.length)));
   co_return true;
 }
 
@@ -1220,20 +1154,15 @@ void NfsClient::note_degraded_write(FileState& f, const IoSlice& slice) {
     }
   }
   f.degraded[slice.device_index].add(slice.file_offset, end);
-  ++stats_.degraded_writes;
   m_degraded_writes_->inc();
-  if (obs::FlightRecorder* flight = fabric_.flight()) {
-    flight->record(fabric_.simulation().now(), node_.name(), "nfs.client",
-                   "degraded.write",
-                   util::sformat("fileid %llu dev %zu %llu+%llu%s",
-                                 static_cast<unsigned long long>(f.attr.fileid),
-                                 slice.device_index,
-                                 static_cast<unsigned long long>(
-                                     slice.file_offset),
-                                 static_cast<unsigned long long>(
-                                     end - slice.file_offset),
-                                 slice.parity ? " parity" : ""));
-  }
+  flight_event("degraded.write",
+               util::sformat("fileid %llu dev %zu %llu+%llu%s",
+                             static_cast<unsigned long long>(f.attr.fileid),
+                             slice.device_index,
+                             static_cast<unsigned long long>(slice.file_offset),
+                             static_cast<unsigned long long>(
+                                 end - slice.file_offset),
+                             slice.parity ? " parity" : ""));
   util::logf(util::LogLevel::kWarn, "nfs.client", fabric_.simulation().now(),
              "degraded write: fileid %llu dev %zu [%llu, %llu) absorbed by "
              "surviving redundancy",
@@ -1245,7 +1174,6 @@ void NfsClient::note_degraded_write(FileState& f, const IoSlice& slice) {
 
 Task<Payload> NfsClient::read_slice_op(FileState& f, const IoSlice& slice) {
   (void)f;
-  auto s = co_await session_for(slice.addr);
   // A short reply means one of two things, and they need opposite handling:
   // EOF on the stripe object (a hole — the missing tail genuinely reads as
   // zeros) vs. a mid-object short READ (the server returned fewer bytes than
@@ -1255,13 +1183,11 @@ Task<Payload> NfsClient::read_slice_op(FileState& f, const IoSlice& slice) {
   while (out.size() < slice.length && !eof) {
     const uint64_t got = out.size();
     const uint64_t want = slice.length - got;
-    CompoundBuilder b = with_sequence(s->id);
-    b.add(OpCode::kPutFh, PutFhArgs{slice.fh});
+    CompoundBuilder b = compound_for(slice.fh);
     b.add(OpCode::kRead, ReadArgs{slice.stateid, slice.target_offset + got,
                                   static_cast<uint32_t>(want)});
     CompoundReply r(co_await call(slice.addr, std::move(b), want));
-    r.expect(OpCode::kSequence);
-    r.expect(OpCode::kPutFh);
+    expect_sequence_putfh(r);
     auto res = r.expect<ReadRes>(OpCode::kRead);
     if (res.data.size() > want) {
       throw NfsError(Status::kIo, "overlong READ reply");
@@ -1272,22 +1198,13 @@ Task<Payload> NfsClient::read_slice_op(FileState& f, const IoSlice& slice) {
     eof = res.eof;
     out.append(std::move(res.data));
   }
-  if (out.size() < slice.length) {
-    const uint64_t missing = slice.length - out.size();
-    if (out.size() == 0 || out.is_inline()) {
-      out.append(Payload::inline_bytes(
-          std::vector<std::byte>(missing, std::byte{0})));
-    } else {
-      out.append(Payload::virtual_bytes(missing));
-    }
-  }
+  if (out.size() < slice.length) zero_fill(out, slice.length - out.size());
   co_return out;
 }
 
 Task<std::vector<Payload>> NfsClient::read_vector_op(
     FileState& f, const std::vector<IoSlice>& slices) {
   const IoSlice& first = slices.front();
-  auto s = co_await session_for(first.addr);
   std::vector<IoRegion> regions;
   regions.reserve(slices.size());
   uint64_t total = 0;
@@ -1295,18 +1212,15 @@ Task<std::vector<Payload>> NfsClient::read_vector_op(
     regions.push_back({sl.target_offset, static_cast<uint32_t>(sl.length)});
     total += sl.length;
   }
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{first.fh});
+  CompoundBuilder b = compound_for(first.fh);
   ReadArgs a{first.stateid, std::move(regions)};
   b.add(a.opcode(), a);
   CompoundReply r(co_await call(first.addr, std::move(b), total));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
+  expect_sequence_putfh(r);
   auto res = r.expect<ReadvRes>(OpCode::kReadv);
   if (res.lengths.size() != slices.size()) {
     throw NfsError(Status::kIo, "READV reply region count mismatch");
   }
-  ++stats_.vectored_reads;
   std::vector<Payload> out(slices.size());
   uint64_t pos = 0;
   for (size_t i = 0; i < slices.size(); ++i) {
@@ -1320,12 +1234,7 @@ Task<std::vector<Payload>> NfsClient::read_vector_op(
     const uint64_t missing = slices[i].length - got;
     if (res.eof && i + 1 == slices.size()) {
       // Hole at end-of-file: the missing tail genuinely reads as zeros.
-      if (out[i].size() == 0 || out[i].is_inline()) {
-        out[i].append(Payload::inline_bytes(
-            std::vector<std::byte>(missing, std::byte{0})));
-      } else {
-        out[i].append(Payload::virtual_bytes(missing));
-      }
+      zero_fill(out[i], missing);
     } else {
       // Short region that is not the EOF tail: re-issue it alone —
       // read_slice_op distinguishes mid-object short READs from holes.
@@ -1345,9 +1254,7 @@ Task<void> NfsClient::write_vector_op(FileState& f,
                                       obs::TraceContext trace_parent) {
   const IoSlice& first = slices.front();
   const uint64_t total = data.size();
-  auto s = co_await session_for(first.addr);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{first.fh});
+  CompoundBuilder b = compound_for(first.fh);
   std::vector<IoRegion> regions;
   regions.reserve(slices.size());
   for (const IoSlice& sl : slices) {
@@ -1359,8 +1266,7 @@ Task<void> NfsClient::write_vector_op(FileState& f,
   b.add(op, a);
   CompoundReply r(
       co_await call(first.addr, std::move(b), total, trace_parent));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
+  expect_sequence_putfh(r);
   const auto res = r.expect<WriteRes>(op);
   if (res.committed == StableHow::kUnstable) {
     // The reply's single verifier covers every region of the list.
@@ -1374,126 +1280,91 @@ Task<void> NfsClient::write_vector_op(FileState& f,
 }
 
 Task<uint64_t> NfsClient::commit_op(rpc::RpcAddress addr, FileHandle fh) {
-  auto s = co_await session_for(addr);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{fh});
+  CompoundBuilder b = compound_for(fh);
   b.add(OpCode::kCommit, CommitArgs{0, 0});
   CompoundReply r(co_await call(addr, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
+  expect_sequence_putfh(r);
   co_return r.expect<CommitRes>(OpCode::kCommit).verifier;
+}
+
+template <typename Attempt, typename Absorb>
+Task<void> NfsClient::recover(FileState& f, IoSlice slice,
+                              RecoveryPolicy policy, Attempt attempt,
+                              Absorb absorb, StatusCollector& errors) {
+  const bool via_ds = slice.device_index != IoSlice::kMds;
+  // Known-unhealthy home device (open breaker, or a degraded range a dead
+  // incarnation never received): let the surviving redundancy take the
+  // slice instead of burning the retry budget.
+  if (policy.absorb_up_front && via_ds &&
+      device_unhealthy(f, slice.device_index, slice.file_offset,
+                       slice.file_offset + slice.length) &&
+      co_await absorb()) {
+    co_return;
+  }
+  Status fail = Status::kOk;
+  for (uint32_t n = 0;; ++n) {
+    try {
+      co_await attempt(slice);
+      if (via_ds) record_ds_result(slice.addr, true);
+      co_return;
+    } catch (const NfsError& e) {
+      fail = e.status();
+    }
+    if (!via_ds) {
+      errors.record(fail);
+      co_return;
+    }
+    record_ds_result(slice.addr, false);
+    if (n >= config_.slice_retries || breaker_open(slice.addr)) break;
+    m_retries_->inc();  // same DS, next attempt
+  }
+  // Redundancy rung: a surviving replica, k-of-n reconstruction or the
+  // degraded set covers the slice without the home DS, and without the MDS.
+  if (co_await absorb()) co_return;
+  if (!policy.may_fall_back || !config_.mds_fallback) {
+    errors.record(fail);
+    co_return;
+  }
+  // Proxy the byte range through the MDS: the plain-NFSv4 path.
+  if (policy.refetch_before_fallback) co_await refetch_layout(f);
+  m_fallbacks_->inc();
+  try {
+    co_await attempt(mds_slice(f, slice.file_offset, slice.length));
+  } catch (const NfsError& e) {
+    errors.record(e.status());
+  }
 }
 
 Task<void> NfsClient::run_read_slice(FileState& f, IoSlice slice, Payload& out,
                                      StatusCollector& errors) {
-  const bool via_ds = slice.device_index != IoSlice::kMds;
-  const bool redundant =
-      via_ds && f.layout && redundant_aggregation(f.layout->aggregation);
-  // Known-unhealthy home device (open breaker, or a degraded range a dead
-  // incarnation never received): go straight to the surviving redundancy
-  // instead of burning the retry budget.
-  if (redundant &&
-      device_unhealthy(f, slice.device_index, slice.file_offset,
-                       slice.file_offset + slice.length) &&
-      co_await degraded_read(f, slice, out)) {
-    co_return;
-  }
-  for (uint32_t attempt = 0;; ++attempt) {
-    Status fail = Status::kOk;
-    try {
-      out = co_await read_slice_op(f, slice);
-      if (via_ds) record_ds_result(slice.addr, true);
-      co_return;
-    } catch (const NfsError& e) {
-      if (!via_ds) {
-        errors.record(e.status(), slice.device_index);
-        co_return;
-      }
-      record_ds_result(slice.addr, false);
-      if (attempt < config_.slice_retries && !breaker_open(slice.addr)) {
-        ++stats_.recovery_retries;
-        m_retries_->inc();
-        continue;  // same DS, next attempt
-      }
-      fail = e.status();  // terminal: degrade outside the handler
-    }
-    // Degraded-read rung: a surviving replica or k-of-n reconstruction
-    // serves the bytes without the home DS — and without the MDS.
-    if (redundant && co_await degraded_read(f, slice, out)) co_return;
-    if (!config_.mds_fallback) {
-      errors.record(fail, slice.device_index);
-      co_return;
-    }
-    break;  // degrade below
-  }
-  // Degraded path: refresh the layout for future routing decisions, then
-  // proxy this byte range through the MDS — the plain-NFSv4 path.
-  co_await refetch_layout(f);
-  ++stats_.mds_fallbacks;
-  m_fallbacks_->inc();
-  try {
-    out = co_await read_slice_op(f, mds_slice(f, slice.file_offset,
-                                              slice.length));
-  } catch (const NfsError& e) {
-    errors.record(e.status(), slice.device_index);
-  }
+  // A degraded read that fails up front still leaves the home DS to try.
+  co_await recover(
+      f, slice, RecoveryPolicy{.absorb_up_front = true},
+      [&](const IoSlice& s) -> Task<void> {
+        out = co_await read_slice_op(f, s);
+      },
+      [&] { return degraded_read(f, slice, out); }, errors);
 }
 
 Task<void> NfsClient::run_write_slice(FileState& f, IoSlice slice,
                                       Payload piece, StatusCollector& errors,
                                       obs::TraceContext trace_parent) {
-  const bool via_ds = slice.device_index != IoSlice::kMds;
-  // Known-unhealthy device under a redundant layout: absorb immediately —
-  // the surviving copies carry the bytes, and the degraded set keeps reads
-  // away from this device's stale range.
-  if (via_ds && f.layout && redundant_aggregation(f.layout->aggregation) &&
-      device_unhealthy(f, slice.device_index, slice.file_offset,
-                       slice.file_offset + slice.length)) {
-    note_degraded_write(f, slice);
-    co_return;
-  }
-  const std::vector<IoSlice> one{slice};
-  for (uint32_t attempt = 0;; ++attempt) {
-    try {
-      co_await write_vector_op(f, one, piece, trace_parent);
-      if (via_ds) record_ds_result(slice.addr, true);
-      co_return;
-    } catch (const NfsError& e) {
-      if (!via_ds) {
-        errors.record(e.status(), slice.device_index);
-        co_return;
-      }
-      record_ds_result(slice.addr, false);
-      if (attempt < config_.slice_retries && !breaker_open(slice.addr)) {
-        ++stats_.recovery_retries;
-        m_retries_->inc();
-        continue;
-      }
-      if (f.layout && redundant_aggregation(f.layout->aggregation)) {
-        // Surviving redundancy absorbs the loss: record the device's stale
-        // range so reads route around it, and succeed without it.
+  // Surviving redundancy absorbs the write: the device's stale range joins
+  // the degraded set so reads route around it.  Parity payloads are derived
+  // bytes; proxying them through the MDS would overwrite file content.
+  co_await recover(
+      f, slice,
+      RecoveryPolicy{.absorb_up_front = true, .may_fall_back = !slice.parity},
+      [&](const IoSlice& s) -> Task<void> {
+        const std::vector<IoSlice> one{s};
+        co_await write_vector_op(f, one, piece, trace_parent);
+      },
+      [&]() -> Task<bool> {
+        if (!redundant(f)) co_return false;
         note_degraded_write(f, slice);
-        co_return;
-      }
-      if (slice.parity || !config_.mds_fallback) {
-        // Parity payloads are derived bytes — proxying them through the MDS
-        // would overwrite file content with parity.
-        errors.record(e.status(), slice.device_index);
-        co_return;
-      }
-      break;
-    }
-  }
-  co_await refetch_layout(f);
-  ++stats_.mds_fallbacks;
-  m_fallbacks_->inc();
-  try {
-    const std::vector<IoSlice> via_mds{
-        mds_slice(f, slice.file_offset, slice.length)};
-    co_await write_vector_op(f, via_mds, std::move(piece), trace_parent);
-  } catch (const NfsError& e) {
-    errors.record(e.status(), slice.device_index);
-  }
+        co_return true;
+      },
+      errors);
 }
 
 Task<void> NfsClient::run_write_vector(FileState& f,
@@ -1546,31 +1417,25 @@ Task<void> NfsClient::run_read_vector(FileState& f, std::vector<IoSlice> slices,
 Task<void> NfsClient::run_commit_target(FileState& f, size_t device_index,
                                         StatusCollector& errors,
                                         uint64_t* verifier_out) {
-  rpc::RpcAddress addr = mds_;
-  FileHandle fh = f.fh;
-  const bool via_ds = device_index != IoSlice::kMds && f.layout;
-  if (via_ds) {
-    addr = devices_.at(f.layout->devices[device_index]);
-    fh = f.layout->fhs[device_index];
+  // A target whose layout was recalled has no DS left to address: it
+  // commits straight through the MDS, once.
+  IoSlice target = mds_slice(f, 0, 0);
+  if (device_index != IoSlice::kMds && f.layout) {
+    aim_at_device(f, target, device_index);
   }
-  for (uint32_t attempt = 0;; ++attempt) {
-    try {
-      const uint64_t v = co_await commit_op(addr, fh);
-      if (verifier_out != nullptr) *verifier_out = v;
-      if (via_ds) record_ds_result(addr, true);
-      co_return;
-    } catch (const NfsError& e) {
-      if (!via_ds) {
-        errors.record(e.status(), device_index);
-        co_return;
-      }
-      record_ds_result(addr, false);
-      if (attempt < config_.slice_retries && !breaker_open(addr)) {
-        ++stats_.recovery_retries;
-        m_retries_->inc();
-        continue;
-      }
-      if (f.layout && redundant_aggregation(f.layout->aggregation)) {
+  // An MDS COMMIT flushes the whole file through the parallel FS — a
+  // superset of the stripe commit that failed.  The MDS verifier never
+  // matches the DS verifier recorded at WRITE time, so the caller replays
+  // the retained extents — conservative but safe when the DS's fate is
+  // unknown.
+  co_await recover(
+      f, target, RecoveryPolicy{.refetch_before_fallback = false},
+      [&](const IoSlice& s) -> Task<void> {
+        const uint64_t v = co_await commit_op(s.addr, s.fh);
+        if (verifier_out != nullptr) *verifier_out = v;
+      },
+      [&]() -> Task<bool> {
+        if (!redundant(f)) co_return false;
         // The target is gone and its volatile bytes with it.  Move the
         // retained ranges into the degraded set — the surviving redundancy
         // holds the data — and drop the target so fsync converges.
@@ -1581,38 +1446,15 @@ Task<void> NfsClient::run_commit_target(FileState& f, size_t device_index,
           }
           f.commit_targets.erase(it);
         }
-        ++stats_.degraded_commits;
         m_degraded_commits_->inc();
-        if (obs::FlightRecorder* flight = fabric_.flight()) {
-          flight->record(fabric_.simulation().now(), node_.name(),
-                         "nfs.client", "degraded.commit",
-                         util::sformat("fileid %llu dev %zu",
-                                       static_cast<unsigned long long>(
-                                           f.attr.fileid),
-                                       device_index));
-        }
-        co_return;
-      }
-      if (!config_.mds_fallback) {
-        errors.record(e.status(), device_index);
-        co_return;
-      }
-      break;
-    }
-  }
-  // An MDS COMMIT flushes the whole file through the parallel FS — a
-  // superset of the stripe commit that failed.  The MDS verifier never
-  // matches the DS verifier recorded at WRITE time, so the caller replays
-  // the retained extents — conservative but safe when the DS's fate is
-  // unknown.
-  ++stats_.mds_fallbacks;
-  m_fallbacks_->inc();
-  try {
-    const uint64_t v = co_await commit_op(mds_, f.fh);
-    if (verifier_out != nullptr) *verifier_out = v;
-  } catch (const NfsError& e) {
-    errors.record(e.status(), device_index);
-  }
+        flight_event(
+            "degraded.commit",
+            util::sformat("fileid %llu dev %zu",
+                          static_cast<unsigned long long>(f.attr.fileid),
+                          device_index));
+        co_return true;
+      },
+      errors);
 }
 
 Task<Payload> NfsClient::read_slices(FileState& f, uint64_t offset,
@@ -1630,7 +1472,6 @@ Task<Payload> NfsClient::read_slices(FileState& f, uint64_t offset,
 
   Payload assembled;
   for (auto& piece : results) assembled.append(std::move(piece));
-  stats_.wire_read_bytes += assembled.size();
   m_miss_bytes_->add(assembled.size());
   co_return assembled;
 }
@@ -1647,7 +1488,6 @@ Task<void> NfsClient::write_slices(FileState& f, uint64_t offset,
   }
   co_await wg.wait();
   errors.throw_if_failed("WRITE");
-  stats_.wire_write_bytes += data.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -1665,7 +1505,6 @@ Task<Payload> NfsClient::read(FilePtr file, uint64_t offset, uint64_t length) {
 
   if (!config_.data_cache) {
     Payload p = co_await read_slices(*file, offset, want);
-    stats_.bytes_read += p.size();
     m_read_bytes_->add(p.size());
     // Sequential detection still applies (kernel readahead exists even for
     // O_DIRECT-less uncached mode is moot — without a cache there is nowhere
@@ -1692,13 +1531,9 @@ Task<Payload> NfsClient::read(FilePtr file, uint64_t offset, uint64_t length) {
     // the same server into vectored READs.
     co_await fetch_range(file, gaps.front().start, gaps.back().end);
   }
-  if (!fetched) {
-    stats_.cache_hit_bytes += want;
-    m_hit_bytes_->add(want);
-  }
+  if (!fetched) m_hit_bytes_->add(want);
 
   Payload out = file->content.load(offset, want);
-  stats_.bytes_read += out.size();
   m_read_bytes_->add(out.size());
 
   // Sequential readahead.  The window ends on an rsize boundary, so every
@@ -1730,10 +1565,7 @@ Task<void> NfsClient::readahead(FilePtr file, uint64_t from, uint64_t to) {
     const uint64_t fetched = co_await fetch_range(file, from, to);
     // Count only readaheads that really hit the wire; ranges that were
     // already cached or in flight are not fetches.
-    if (fetched > 0) {
-      ++stats_.readahead_fetches;
-      m_readahead_fetches_->inc();
-    }
+    if (fetched > 0) m_readahead_fetches_->inc();
   } catch (const NfsError&) {
     // Readahead failures are harmless; the demand read will retry and
     // surface the error.
@@ -1856,11 +1688,7 @@ Task<uint64_t> NfsClient::fetch_range(FilePtr file, uint64_t start,
             got += out[i].size();
             fetched += out[i].size();
             file->content.store(s.file_offset, out[i]);
-            const uint64_t before = file->valid.total_length();
-            file->valid.add(s.file_offset, s.file_offset + out[i].size());
-            self.account_valid_delta(
-                *file,
-                static_cast<int64_t>(file->valid.total_length() - before));
+            self.add_valid(*file, s.file_offset, s.file_offset + out[i].size());
           }
           if (--remaining[b[i].fetch_idx] == 0) {
             Fetch& f = fetches[b[i].fetch_idx];
@@ -1868,7 +1696,6 @@ Task<uint64_t> NfsClient::fetch_range(FilePtr file, uint64_t start,
             f.latch->set();
           }
         }
-        self.stats_.wire_read_bytes += got;
         self.m_miss_bytes_->add(got);
       }(*this, file, std::move(batch), errors, fetched, remaining, fetches));
     }
@@ -1886,12 +1713,9 @@ Task<uint64_t> NfsClient::fetch_range(FilePtr file, uint64_t start,
         Payload data = co_await self.read_slices(*file, f.start, f.len);
         fetched += data.size();
         file->content.store(f.start, data);
-        const uint64_t before = file->valid.total_length();
-        file->valid.add(f.start, f.start + data.size());
-        self.account_valid_delta(*file,
-                                 static_cast<int64_t>(file->valid.total_length() - before));
+        self.add_valid(*file, f.start, f.start + data.size());
       } catch (const NfsError& e) {
-        errors.record(e.status(), StatusCollector::kNoDevice);
+        errors.record(e.status());
       }
       file->inflight.erase(f.start);
       f.latch->set();
@@ -1928,26 +1752,15 @@ Task<void> NfsClient::write(FilePtr file, uint64_t offset, Payload data) {
     co_await write_slices(*file, offset, data);
     file->size = std::max(file->size, end);
     file->size_dirty = true;
-    stats_.bytes_written += len;
     m_write_bytes_->add(len);
     co_return;
   }
 
   file->content.store(offset, data);
-  {
-    const uint64_t before = file->valid.total_length();
-    file->valid.add(offset, end);
-    account_valid_delta(*file,
-                        static_cast<int64_t>(file->valid.total_length() - before));
-  }
-  {
-    const uint64_t before = file->dirty.total_length();
-    file->dirty.add(offset, end);
-    dirty_bytes_ += file->dirty.total_length() - before;
-  }
+  add_valid(*file, offset, end);
+  add_dirty(*file, offset, end);
   file->size = std::max(file->size, end);
   file->size_dirty = true;
-  stats_.bytes_written += len;
   m_write_bytes_->add(len);
 
   // Write-back: push out every fully-dirty wsize chunk asynchronously (a
@@ -1977,19 +1790,13 @@ NfsClient::DsSched& NfsClient::sched_for(const rpc::RpcAddress& addr) {
       fabric_.simulation(), std::max<uint32_t>(1, config_.wb_window_per_ds));
   sched.label =
       (addr == mds_) ? "mds" : "ds" + std::to_string(addr.node_id);
-  if (obs::MetricsRegistry* reg = fabric_.metrics()) {
-    const std::string& n = node_.name();
-    sched.m_queue_depth =
-        &reg->gauge(n, "client.sched", "queue_depth_" + sched.label);
-    sched.m_queue_peak =
-        &reg->gauge(n, "client.sched", "queue_depth_peak_" + sched.label);
-    sched.m_window_inflight =
-        &reg->gauge(n, "client.sched", "window_inflight_" + sched.label);
-  } else {
-    sched.m_queue_depth = &obs::MetricsRegistry::null_gauge();
-    sched.m_queue_peak = &obs::MetricsRegistry::null_gauge();
-    sched.m_window_inflight = &obs::MetricsRegistry::null_gauge();
-  }
+  const std::string& n = node_.name();
+  sched.m_queue_depth =
+      &metrics_->gauge(n, "client.sched", "queue_depth_" + sched.label);
+  sched.m_queue_peak =
+      &metrics_->gauge(n, "client.sched", "queue_depth_peak_" + sched.label);
+  sched.m_window_inflight =
+      &metrics_->gauge(n, "client.sched", "window_inflight_" + sched.label);
   return scheds_.emplace(addr, std::move(sched)).first->second;
 }
 
@@ -2016,29 +1823,13 @@ void NfsClient::enqueue_writeback(const FilePtr& file, IoSlice slice,
   while (auto hit = q.pop_overlap(start, end)) {
     const uint64_t old_start = hit->start;
     const uint64_t old_end = hit->start + hit->length;
-    QueuedWrite& old_qw = hit->value;
     if (old_start < start) {
-      const uint64_t head_len = start - old_start;
-      QueuedWrite head;
-      head.file = old_qw.file;
-      head.slice = old_qw.slice;
-      head.slice.length = head_len;
-      head.data = old_qw.data.slice(0, head_len);
-      head.enqueued_at = old_qw.enqueued_at;
-      q.push(old_start, head_len, std::move(head));
+      const uint64_t head = start - old_start;
+      q.push(old_start, head, hit->value.sub(0, head));
     }
     if (old_end > end) {
-      const uint64_t skip = end - old_start;
-      const uint64_t tail_len = old_end - end;
-      QueuedWrite tail;
-      tail.file = old_qw.file;
-      tail.slice = old_qw.slice;
-      tail.slice.target_offset = end;
-      tail.slice.file_offset += skip;
-      tail.slice.length = tail_len;
-      tail.data = old_qw.data.slice(skip, tail_len);
-      tail.enqueued_at = old_qw.enqueued_at;
-      q.push(end, tail_len, std::move(tail));
+      const uint64_t tail = old_end - end;
+      q.push(end, tail, hit->value.sub(end - old_start, tail));
     }
   }
 
@@ -2050,9 +1841,6 @@ void NfsClient::enqueue_writeback(const FilePtr& file, IoSlice slice,
   q.push(start, slice.length, std::move(item));
   note_sched_queue(sched);
 
-  if (!file->wb_inflight) {
-    file->wb_inflight = std::make_unique<sim::WaitGroup>(fabric_.simulation());
-  }
   // The worker is scheduled, not run inline, so every extent of this flush
   // is queued before the first dispatch — that's what makes runs mergeable.
   file->wb_inflight->spawn(wb_worker(file, slice.addr));
@@ -2087,39 +1875,20 @@ Task<void> NfsClient::wb_worker(FilePtr file, rpc::RpcAddress addr) {
                  prev.slice.file_offset + prev.slice.length;
     };
     const auto splitter = [](QueuedWrite& v, uint64_t head_len) {
-      QueuedWrite head;
-      head.file = v.file;
-      head.slice = v.slice;
-      head.slice.length = head_len;
-      head.data = v.data.slice(0, head_len);
-      head.enqueued_at = v.enqueued_at;
-      v.slice.target_offset += head_len;
-      v.slice.file_offset += head_len;
-      v.slice.length -= head_len;
-      v.data = v.data.slice(head_len, v.slice.length);
+      QueuedWrite head = v.sub(0, head_len);
+      v = v.sub(head_len, v.slice.length - head_len);
       return head;
     };
-    auto run = qit->second.pop_run(config_.wsize, merge_ok, splitter);
+    WriteRun run = qit->second.pop_run(config_.wsize, merge_ok, splitter);
     if (qit->second.empty()) sched.queues.erase(qit);
     note_sched_queue(sched);
     if (run.empty()) {
       sched.window->release();
       continue;
     }
-
-    IoSlice s = run.front().value.slice;
-    Payload first_data = std::move(run.front().value.data);
-    sim::Time first_enq = run.front().value.enqueued_at;
-    for (size_t i = 1; i < run.size(); ++i) {
-      QueuedWrite& qw = run[i].value;
-      s.length += qw.slice.length;
-      first_data.append(std::move(qw.data));
-      first_enq = std::min(first_enq, qw.enqueued_at);
-      ++stats_.sched_coalesced_extents;
-      stats_.sched_coalesced_bytes += qw.slice.length;
-      m_sched_coalesced_extents_->inc();
-      m_sched_coalesced_bytes_->add(qw.slice.length);
-    }
+    QueuedWrite first = fold_run(run);
+    const IoSlice s = first.slice;
+    sim::Time first_enq = first.enqueued_at;
 
     // List I/O: fold further runs from the same queue — mutually
     // non-adjacent by construction, or pop_run would have merged them —
@@ -2127,53 +1896,34 @@ Task<void> NfsClient::wb_worker(FilePtr file, rpc::RpcAddress addr) {
     // no longer the price of batching strided extents.
     std::vector<IoSlice> slices{s};
     std::vector<Payload> payloads;
-    payloads.push_back(std::move(first_data));
+    payloads.push_back(std::move(first.data));
     uint64_t total = s.length;
     if (config_.coalesce_writes && config_.listio_enabled) {
       while (slices.size() < config_.listio_max_regions &&
              total < config_.wsize) {
         auto more = sched.queues.find(ino);
         if (more == sched.queues.end() || more->second.empty()) break;
-        auto run2 =
+        WriteRun run2 =
             more->second.pop_run(config_.wsize - total, merge_ok, splitter);
         if (more->second.empty()) sched.queues.erase(more);
         if (run2.empty()) break;
-        IoSlice s2 = run2.front().value.slice;
-        Payload d2 = std::move(run2.front().value.data);
-        sim::Time enq2 = run2.front().value.enqueued_at;
-        for (size_t i = 1; i < run2.size(); ++i) {
-          QueuedWrite& qw = run2[i].value;
-          s2.length += qw.slice.length;
-          d2.append(std::move(qw.data));
-          enq2 = std::min(enq2, qw.enqueued_at);
-          ++stats_.sched_coalesced_extents;
-          stats_.sched_coalesced_bytes += qw.slice.length;
-          m_sched_coalesced_extents_->inc();
-          m_sched_coalesced_bytes_->add(qw.slice.length);
-        }
-        if (s2.device_index != s.device_index) {
+        QueuedWrite next = fold_run(run2);
+        if (next.slice.device_index != s.device_index) {
           // Same DS address, different route (different filehandle): a
           // compound holds one PUTFH, so requeue for the next dispatch.
-          QueuedWrite back;
-          back.file = file;
-          back.slice = s2;
-          back.data = std::move(d2);
-          back.enqueued_at = enq2;
-          sched.queues[ino].push(s2.target_offset, s2.length,
-                                 std::move(back));
+          const uint64_t at = next.slice.target_offset;
+          const uint64_t len = next.slice.length;
+          sched.queues[ino].push(at, len, std::move(next));
           break;
         }
-        first_enq = std::min(first_enq, enq2);
-        slices.push_back(s2);
-        payloads.push_back(std::move(d2));
-        total += s2.length;
+        first_enq = std::min(first_enq, next.enqueued_at);
+        slices.push_back(next.slice);
+        payloads.push_back(std::move(next.data));
+        total += next.slice.length;
       }
       note_sched_queue(sched);
     }
     if (slices.size() > 1) {
-      ++stats_.vectored_writes;
-      stats_.vectored_regions += slices.size();
-      stats_.vectored_bytes += total;
       m_vectored_writes_->inc();
       m_vectored_regions_->add(slices.size());
       m_vectored_bytes_->add(total);
@@ -2231,11 +1981,7 @@ Task<void> NfsClient::wb_worker(FilePtr file, rpc::RpcAddress addr) {
           }
           const uint64_t gs = slices[i].file_offset;
           const uint64_t ge = std::min(file->size, gs + span);
-          if (ge > gs) {
-            const uint64_t dbefore = file->dirty.total_length();
-            file->dirty.add(gs, ge);
-            dirty_bytes_ += file->dirty.total_length() - dbefore;
-          }
+          if (ge > gs) add_dirty(*file, gs, ge);
           continue;
         }
         const uint64_t ws = slices[i].file_offset;
@@ -2243,19 +1989,11 @@ Task<void> NfsClient::wb_worker(FilePtr file, rpc::RpcAddress addr) {
         for (const auto& gap : file->dirty.gaps(ws, we)) {
           file->content.store(gap.start,
                               payloads[i].slice(gap.start - ws, gap.length()));
-          const uint64_t vbefore = file->valid.total_length();
-          file->valid.add(gap.start, gap.end);
-          account_valid_delta(
-              *file,
-              static_cast<int64_t>(file->valid.total_length() - vbefore));
-          const uint64_t dbefore = file->dirty.total_length();
-          file->dirty.add(gap.start, gap.end);
-          dirty_bytes_ += file->dirty.total_length() - dbefore;
+          add_valid(*file, gap.start, gap.end);
+          add_dirty(*file, gap.start, gap.end);
         }
       }
     }
-    stats_.wire_write_bytes += total;
-    ++stats_.sched_writes;
     m_sched_writes_->inc();
     m_sched_bytes_->add(total);
 
@@ -2293,6 +2031,29 @@ Task<void> NfsClient::wb_worker(FilePtr file, rpc::RpcAddress addr) {
   }
 }
 
+NfsClient::QueuedWrite NfsClient::QueuedWrite::sub(uint64_t skip,
+                                                   uint64_t len) const {
+  QueuedWrite piece = *this;
+  piece.slice.target_offset += skip;
+  piece.slice.file_offset += skip;
+  piece.slice.length = len;
+  piece.data = data.slice(skip, len);
+  return piece;
+}
+
+NfsClient::QueuedWrite NfsClient::fold_run(WriteRun& run) {
+  QueuedWrite out = std::move(run.front().value);
+  for (size_t i = 1; i < run.size(); ++i) {
+    QueuedWrite& qw = run[i].value;
+    out.slice.length += qw.slice.length;
+    out.data.append(std::move(qw.data));
+    out.enqueued_at = std::min(out.enqueued_at, qw.enqueued_at);
+    m_sched_coalesced_extents_->inc();
+    m_sched_coalesced_bytes_->add(qw.slice.length);
+  }
+  return out;
+}
+
 Task<void> NfsClient::wb_background_commit(FilePtr file, rpc::RpcAddress addr,
                                            size_t device_index) {
   DsSched& sched = sched_for(addr);
@@ -2309,73 +2070,65 @@ Task<void> NfsClient::wb_background_commit(FilePtr file, rpc::RpcAddress addr,
 Task<void> NfsClient::flush_dirty(FilePtr file, bool only_full_chunks,
                                   bool wait_completion) {
   co_await ensure_layout_fresh(*file);
-  if (file->layout &&
-      file->layout->aggregation == AggregationType::kErasureCoded) {
-    // Group-granular flush: data and parity leave together.
-    co_return co_await flush_dirty_ec(file, wait_completion);
-  }
-  const uint64_t chunk = config_.wsize;
-  std::vector<util::IntervalSet::Interval> ranges;
-  for (const auto& iv : file->dirty.intervals()) {
-    if (only_full_chunks) {
-      const uint64_t cs = round_up(iv.start, chunk);
-      const uint64_t ce = round_down(iv.end, chunk);
-      if (ce > cs) ranges.push_back({cs, ce});
-    } else {
-      ranges.push_back(iv);
-    }
-  }
-
   if (!file->wb_inflight) {
     file->wb_inflight = std::make_unique<sim::WaitGroup>(fabric_.simulation());
   }
-
-  // Claim the ranges before suspending so concurrent flushes don't repeat
-  // the work, then route each range and queue the pieces on their data
-  // servers' pipelines.  Content is loaded here, synchronously: once
-  // claimed, the bytes look clean and are fair game for eviction.
-  for (const auto& r : ranges) {
-    const uint64_t before = file->dirty.total_length();
-    file->dirty.subtract(r.start, r.end);
-    dirty_bytes_ -= before - file->dirty.total_length();
-  }
-  for (const auto& r : ranges) {
-    const auto slices = route(*file, r.start, r.end - r.start,
-                              /*for_write=*/true);
-    for (const auto& s : slices) {
-      uint64_t pos = 0;
-      while (pos < s.length) {
-        const uint64_t n = std::min<uint64_t>(chunk, s.length - pos);
-        IoSlice piece = s;
-        piece.target_offset += pos;
-        piece.file_offset += pos;
-        piece.length = n;
-        Payload data = file->content.load(piece.file_offset, n);
-        enqueue_writeback(file, piece, std::move(data));
-        pos += n;
+  if (file->layout &&
+      file->layout->aggregation == AggregationType::kErasureCoded) {
+    // Group-granular flush: data and parity leave together.
+    co_await flush_dirty_ec(file);
+  } else {
+    const uint64_t chunk = config_.wsize;
+    std::vector<util::IntervalSet::Interval> ranges;
+    for (const auto& iv : file->dirty.intervals()) {
+      if (only_full_chunks) {
+        const uint64_t cs = round_up(iv.start, chunk);
+        const uint64_t ce = round_down(iv.end, chunk);
+        if (ce > cs) ranges.push_back({cs, ce});
+      } else {
+        ranges.push_back(iv);
       }
     }
+    // Claim the ranges before suspending so concurrent flushes don't repeat
+    // the work, then route each range and queue the pieces on their data
+    // servers' pipelines.  Content is loaded at queueing time: once
+    // claimed, the bytes look clean and are fair game for eviction.
+    for (const auto& r : ranges) remove_dirty(*file, r.start, r.end);
+    for (const auto& r : ranges) {
+      enqueue_range(file, r.start, r.end, /*for_write=*/true);
+    }
   }
+  if (wait_completion) co_await await_writeback(*file);
+}
 
-  if (wait_completion) {
-    co_await file->wb_inflight->wait();
-    if (file->wb_error) {
-      file->wb_error = false;
-      throw NfsError(Status::kIo, "flush");
+void NfsClient::enqueue_range(const FilePtr& file, uint64_t start,
+                              uint64_t end, bool for_write) {
+  for (const IoSlice& s : route(*file, start, end - start, for_write)) {
+    for (uint64_t pos = 0; pos < s.length; pos += config_.wsize) {
+      IoSlice piece = s;
+      piece.target_offset += pos;
+      piece.file_offset += pos;
+      piece.length = std::min<uint64_t>(config_.wsize, s.length - pos);
+      Payload data = file->content.load(piece.file_offset, piece.length);
+      enqueue_writeback(file, piece, std::move(data));
     }
   }
 }
 
-Task<void> NfsClient::flush_dirty_ec(FilePtr file, bool wait_completion) {
+Task<void> NfsClient::await_writeback(FileState& f) {
+  co_await f.wb_inflight->wait();
+  if (f.wb_error) {
+    f.wb_error = false;
+    throw NfsError(Status::kIo, "flush");
+  }
+}
+
+Task<void> NfsClient::flush_dirty_ec(FilePtr file) {
   FileState& f = *file;
   const auto geo = f.layout ? EcGeometry::from(*f.layout) : std::nullopt;
   if (!geo) throw NfsError(Status::kInval, "malformed erasure-coded layout");
   const uint64_t gb = geo->group_bytes();
   const uint64_t su = geo->su;
-
-  if (!f.wb_inflight) {
-    f.wb_inflight = std::make_unique<sim::WaitGroup>(fabric_.simulation());
-  }
 
   // Snapshot the touched stripe groups; groups dirtied while this flush
   // runs belong to the next one.
@@ -2403,11 +2156,7 @@ Task<void> NfsClient::flush_dirty_ec(FilePtr file, bool wait_completion) {
     const uint64_t data_end = std::min<uint64_t>(ge, f.size);
     const auto todo = f.dirty.intersection(gs, ge);
     if (todo.empty()) continue;  // a concurrent flush claimed this group
-    {
-      const uint64_t before = f.dirty.total_length();
-      f.dirty.subtract(gs, ge);
-      dirty_bytes_ -= before - f.dirty.total_length();
-    }
+    remove_dirty(f, gs, ge);
 
     // Encode the group's parity from the zero-padded cached shards.  All of
     // [gs, data_end) is valid here, and no suspension separates the claim
@@ -2442,44 +2191,19 @@ Task<void> NfsClient::flush_dirty_ec(FilePtr file, bool wait_completion) {
     // data mapping (the EC driver's map_read is the data half of its
     // map_write).
     for (const auto& div : todo) {
-      const auto slices =
-          route(f, div.start, div.end - div.start, /*for_write=*/false);
-      for (const auto& s : slices) {
-        uint64_t pos = 0;
-        while (pos < s.length) {
-          const uint64_t n = std::min<uint64_t>(config_.wsize, s.length - pos);
-          IoSlice piece = s;
-          piece.target_offset += pos;
-          piece.file_offset += pos;
-          piece.length = n;
-          Payload data = f.content.load(piece.file_offset, n);
-          enqueue_writeback(file, piece, std::move(data));
-          pos += n;
-        }
-      }
+      enqueue_range(file, div.start, div.end, /*for_write=*/false);
     }
     // Parity: one whole-su block per parity device.  Every shard of group
     // g sits at device offset g*su.
     for (uint64_t j = 0; j < geo->m; ++j) {
-      const size_t dev = static_cast<size_t>(geo->k + j);
       IoSlice ps;
-      ps.device_index = dev;
-      ps.addr = devices_.at(f.layout->devices[dev]);
-      ps.fh = f.layout->fhs[dev];
+      aim_at_device(f, ps, static_cast<size_t>(geo->k + j));
       ps.stateid = kDataServerStateid;
       ps.target_offset = gs / gb * su;
       ps.file_offset = gs;
       ps.length = su;
       ps.parity = true;
       enqueue_writeback(file, ps, std::move(parity[static_cast<size_t>(j)]));
-    }
-  }
-
-  if (wait_completion) {
-    co_await f.wb_inflight->wait();
-    if (f.wb_error) {
-      f.wb_error = false;
-      throw NfsError(Status::kIo, "flush");
     }
   }
 }
@@ -2561,13 +2285,10 @@ Task<void> NfsClient::fsync(FilePtr file) {
     }
   }
   if (file->size_dirty && file->layout) {
-    auto s = co_await session_for(mds_);
-    CompoundBuilder b = with_sequence(s->id);
-    b.add(OpCode::kPutFh, PutFhArgs{file->fh});
+    CompoundBuilder b = compound_for(file->fh);
     b.add(OpCode::kLayoutCommit, LayoutCommitArgs{file->size, true});
     CompoundReply r(co_await call(mds_, std::move(b), 0));
-    r.expect(OpCode::kSequence);
-    r.expect(OpCode::kPutFh);
+    expect_sequence_putfh(r);
     const auto lc = r.expect<LayoutCommitRes>(OpCode::kLayoutCommit);
     if (lc.post_change != 0) {
       file->attr.change = std::max(file->attr.change, lc.post_change);
@@ -2580,14 +2301,47 @@ Task<void> NfsClient::fsync(FilePtr file) {
 // Cache accounting
 // ---------------------------------------------------------------------------
 
-void NfsClient::account_valid_delta(FileState& f, int64_t delta) {
-  (void)f;
+void NfsClient::add_valid(FileState& f, uint64_t start, uint64_t end) {
+  const uint64_t before = f.valid.total_length();
+  f.valid.add(start, end);
+  account_cached(static_cast<int64_t>(f.valid.total_length() - before));
+}
+
+void NfsClient::add_dirty(FileState& f, uint64_t start, uint64_t end) {
+  const uint64_t before = f.dirty.total_length();
+  f.dirty.add(start, end);
+  dirty_bytes_ += f.dirty.total_length() - before;
+}
+
+void NfsClient::remove_dirty(FileState& f, uint64_t start, uint64_t end) {
+  const uint64_t before = f.dirty.total_length();
+  f.dirty.subtract(start, end);
+  dirty_bytes_ -= before - f.dirty.total_length();
+}
+
+void NfsClient::account_cached(int64_t delta) {
   if (delta >= 0) {
     cached_bytes_ += static_cast<uint64_t>(delta);
   } else {
     cached_bytes_ -= std::min<uint64_t>(cached_bytes_,
                                         static_cast<uint64_t>(-delta));
   }
+}
+
+uint64_t NfsClient::drop_clean(FileState& st) {
+  // Pinned ranges survive: dropping a retained range would discard the
+  // only copy a restart replay needs.
+  const util::IntervalSet pin = st.pinned();
+  uint64_t dropped = 0;
+  for (const auto& iv : st.valid.intervals()) {
+    for (const auto& clean : pin.gaps(iv.start, iv.end)) {
+      st.content.drop(clean.start, clean.end);
+      dropped += clean.length();
+    }
+  }
+  st.valid = pin;
+  st.readahead_high = 0;
+  return dropped;
 }
 
 void NfsClient::evict_clean_if_needed() {
@@ -2604,18 +2358,8 @@ void NfsClient::evict_clean_if_needed() {
       }
     }
     if (victim == nullptr) break;  // everything is pinned: nothing to evict
-    const util::IntervalSet pin = victim->pinned();
-    uint64_t evicted = 0;
-    for (const auto& iv : victim->valid.intervals()) {
-      for (const auto& clean : pin.gaps(iv.start, iv.end)) {
-        victim->content.drop(clean.start, clean.end);
-        evicted += clean.length();
-      }
-    }
-    // valid := pinned (only unevictable ranges remain cached).
-    victim->valid = pin;
-    victim->readahead_high = 0;
-    account_valid_delta(*victim, -static_cast<int64_t>(evicted));
+    const uint64_t evicted = drop_clean(*victim);
+    account_cached(-static_cast<int64_t>(evicted));
     if (evicted == 0) break;
   }
 }

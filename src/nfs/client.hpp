@@ -29,6 +29,7 @@
 #include "nfs/types.hpp"
 #include "rpc/fabric.hpp"
 #include "util/interval_set.hpp"
+#include "util/obs.hpp"
 #include "util/range_buffer.hpp"
 
 namespace dpnfs::nfs {
@@ -114,33 +115,38 @@ struct ClientConfig {
   uint32_t tenant_id = 0;
 };
 
+/// A snapshot of the client's counters.  The metrics registry is the only
+/// store: each field is read from the counter named beside it, in the
+/// client's node scope (one NfsClient per node in every deployment).
 struct ClientStats {
-  uint64_t bytes_read = 0;          ///< returned to the application
-  uint64_t bytes_written = 0;       ///< accepted from the application
-  uint64_t wire_read_bytes = 0;     ///< fetched via READ
-  uint64_t wire_write_bytes = 0;    ///< sent via WRITE
+  // "client.cache" component.
+  uint64_t bytes_read = 0;       ///< to the application (read_bytes)
+  uint64_t bytes_written = 0;    ///< from the application (write_bytes)
+  uint64_t wire_read_bytes = 0;  ///< fetched via READ (miss_bytes)
+  /// Sent via WRITE: client.sched dispatched_bytes, plus write_bytes on a
+  /// write-through client (whose writes bypass the scheduler).
+  uint64_t wire_write_bytes = 0;
   uint64_t rpcs = 0;
-  uint64_t cache_hit_bytes = 0;
+  uint64_t cache_hit_bytes = 0;     ///< hit_bytes
   uint64_t readahead_fetches = 0;
-  // Write-back scheduler (mirrored in the "client.sched" metrics component).
+  // "client.sched" component.
   uint64_t sched_writes = 0;             ///< write-back WRITEs dispatched
   uint64_t sched_coalesced_extents = 0;  ///< extents merged into a prior WRITE
   uint64_t sched_coalesced_bytes = 0;    ///< bytes riding merged WRITEs
   uint64_t vectored_writes = 0;   ///< multi-region WRITEV dispatches
   uint64_t vectored_regions = 0;  ///< regions carried by those WRITEVs
   uint64_t vectored_bytes = 0;    ///< bytes carried by those WRITEVs
-  uint64_t vectored_reads = 0;    ///< multi-region READV fetches issued
-  // Recovery (mirrored in the "client.recovery" metrics component).
+  // "client.recovery" component.
   uint64_t recovery_retries = 0;    ///< slice retried against the same DS
   uint64_t mds_fallbacks = 0;       ///< slices degraded to MDS proxy I/O
   uint64_t breaker_trips = 0;       ///< DS circuit breakers opened
   uint64_t layout_refetches = 0;    ///< LAYOUTGETs after slice failures
-  // Unstable-write replay (mirrored in the "client.replay" component).
+  // "client.replay" component.
   uint64_t verifier_mismatches = 0; ///< WRITE/COMMIT verifier changes seen
   uint64_t replayed_extents = 0;    ///< retained extents re-dirtied for replay
   uint64_t replayed_bytes = 0;      ///< bytes those extents covered
   uint64_t session_recoveries = 0;  ///< sessions re-established after restart
-  // Redundancy (mirrored in the "client.redundancy" metrics component).
+  // "client.redundancy" component.
   uint64_t replica_reroutes = 0;    ///< reads routed around an unhealthy DS
   uint64_t degraded_reads = 0;      ///< reads served without the home DS
   uint64_t degraded_read_bytes = 0; ///< bytes those reads returned
@@ -150,21 +156,16 @@ struct ClientStats {
 };
 
 /// Records the first non-OK status across a fan-out of concurrent slice
-/// operations, plus which device produced it.  Replaces the old
-/// `bool failed; Status fail_status;` out-param pairs.
+/// operations.
 class StatusCollector {
  public:
-  static constexpr size_t kNoDevice = static_cast<size_t>(-1);
-
-  void record(Status s, size_t device_index = kNoDevice) noexcept {
+  void record(Status s) noexcept {
     if (s == Status::kOk || failed_) return;
     failed_ = true;
     status_ = s;
-    device_index_ = device_index;
   }
   bool failed() const noexcept { return failed_; }
   Status status() const noexcept { return status_; }
-  size_t device_index() const noexcept { return device_index_; }
   void throw_if_failed(const std::string& what) const {
     if (failed_) throw NfsError(status_, what);
   }
@@ -172,7 +173,6 @@ class StatusCollector {
  private:
   bool failed_ = false;
   Status status_ = Status::kOk;
-  size_t device_index_ = kNoDevice;
 };
 
 class NfsClient {
@@ -219,7 +219,8 @@ class NfsClient {
   /// closed files is discarded entirely; open files keep dirty data.
   void drop_caches();
 
-  const ClientStats& stats() const noexcept { return stats_; }
+  /// Read from the registry counters: a copy, not a live view.
+  ClientStats stats() const;
   const ClientConfig& config() const noexcept { return config_; }
   sim::Node& node() noexcept { return node_; }
   uint64_t layout_recalls_served() const noexcept { return recalls_served_; }
@@ -258,7 +259,11 @@ class NfsClient {
     IoSlice slice;
     rpc::Payload data;
     sim::Time enqueued_at = 0;
+
+    /// The [skip, skip + len) piece of this extent.
+    QueuedWrite sub(uint64_t skip, uint64_t len) const;
   };
+  using WriteRun = std::vector<util::ExtentQueue<QueuedWrite>::Item>;
   struct DsSched {
     std::unique_ptr<sim::Semaphore> window;
     /// fileid -> queued extents keyed by target offset (elevator order).
@@ -280,17 +285,20 @@ class NfsClient {
   void enqueue_writeback(const FilePtr& file, IoSlice slice,
                          rpc::Payload data);
   sim::Task<void> wb_worker(FilePtr file, rpc::RpcAddress addr);
+  /// Folds a popped run of adjacent extents into one: merged slice,
+  /// concatenated payload, earliest enqueue time.
+  QueuedWrite fold_run(WriteRun& run);
   /// Best-effort COMMIT to one DS while write-back continues (see
   /// ClientConfig::wb_commit_backlog); fsync's COMMIT covers stragglers.
   sim::Task<void> wb_background_commit(FilePtr file, rpc::RpcAddress addr,
                                        size_t device_index);
 
   // Compound plumbing.  Every compound built by this client starts with a
-  // SEQUENCE op; call() owns session recovery: it patches the current
-  // session id into the encoded compound, and when the reply's SEQUENCE
-  // answers BADSESSION or GRACE (the server restarted and forgot us) it
-  // drops the dead session, re-establishes one, and re-sends — so restart
-  // recovery is invisible to every call site.
+  // SEQUENCE op; call() owns the session: it creates one on demand, patches
+  // its id into the encoded compound, and when the reply's SEQUENCE answers
+  // BADSESSION or GRACE (the server restarted and forgot us) it drops the
+  // dead session, re-establishes one, and re-sends — so neither session
+  // setup nor restart recovery is visible at any call site.
   sim::Task<rpc::RpcClient::Reply> call(rpc::RpcAddress addr,
                                         CompoundBuilder builder,
                                         uint64_t data_bytes,
@@ -339,15 +347,37 @@ class NfsClient {
                                   obs::TraceContext trace_parent = {});
   /// COMMIT to one server; returns the write verifier its reply carried.
   sim::Task<uint64_t> commit_op(rpc::RpcAddress addr, FileHandle fh);
-  // ...and their recovering wrappers: retry same DS, re-fetch the layout,
-  // then degrade to the MDS; errors land in the collector.
+
+  /// What one operation does on recover()'s rungs.  It names behaviour,
+  /// never the operation.
+  struct RecoveryPolicy {
+    /// Run the redundancy rung before any attempt when the home device is
+    /// already known unhealthy.
+    bool absorb_up_front = false;
+    /// Re-fetch the layout before proxying through the MDS.
+    bool refetch_before_fallback = true;
+    /// False: the slice never falls back to the MDS (derived parity bytes).
+    bool may_fall_back = true;
+  };
+  /// The recovery ladder every data-server operation shares: the up-front
+  /// redundancy rung, same-DS retries (breaker-aware), the redundancy rung
+  /// again, then the MDS fallback.  `attempt(slice)` performs the operation
+  /// once (throwing NfsError) against the DS slice or its MDS substitute;
+  /// `absorb()` is the redundancy rung and reports whether it served or
+  /// absorbed the slice.  MDS-bound slices get one attempt.  A terminal
+  /// error lands in `errors`.
+  template <typename Attempt, typename Absorb>
+  sim::Task<void> recover(FileState& f, IoSlice slice, RecoveryPolicy policy,
+                          Attempt attempt, Absorb absorb,
+                          StatusCollector& errors);
+  // The ladder's thin callers.
   sim::Task<void> run_read_slice(FileState& f, IoSlice slice,
                                  rpc::Payload& out, StatusCollector& errors);
   sim::Task<void> run_write_slice(FileState& f, IoSlice slice,
                                   rpc::Payload piece, StatusCollector& errors,
                                   obs::TraceContext trace_parent = {});
-  /// Vectored wrappers: one retry round against the DS as a whole, then
-  /// degrade region-by-region through the single-slice ladders (so each
+  /// Vectored wrappers: one attempt against the DS as a whole, then
+  /// degrade region by region through the single-slice ladder (so each
   /// region keeps its own retry/breaker/MDS-fallback recovery).
   sim::Task<void> run_write_vector(FileState& f, std::vector<IoSlice> slices,
                                    rpc::Payload data, StatusCollector& errors,
@@ -377,10 +407,23 @@ class NfsClient {
   bool breaker_open(const rpc::RpcAddress& addr) const;
   void record_ds_result(const rpc::RpcAddress& addr, bool ok);
   sim::Task<void> refetch_layout(FileState& f, bool force = false);
+  /// Records a "nfs.client" event in the flight recorder, if the fabric
+  /// carries one.
+  void flight_event(const char* kind, const std::string& detail) const;
   sim::Task<void> flush_dirty(FilePtr file, bool only_full_chunks,
                               bool wait_completion);
+  /// Routes [start, end) and queues it on the servers' write-back
+  /// pipelines in wsize pieces, loading the bytes from the cache now.
+  /// `for_write` picks the driver's write mapping; false takes the read
+  /// mapping (the data half of an erasure-coded write).
+  void enqueue_range(const FilePtr& file, uint64_t start, uint64_t end,
+                     bool for_write);
+  /// Waits for the file's queued write-backs; throws if any failed.
+  sim::Task<void> await_writeback(FileState& f);
 
   // -- Redundancy (replicated / nested-mirror / erasure-coded layouts) -----
+  /// Points `slice` at layout device `dev` (identity fields only).
+  void aim_at_device(const FileState& f, IoSlice& slice, size_t dev) const;
   /// True when this device may not hold valid bytes for [start, end): its
   /// breaker is open or the range overlaps its degraded (skipped-write) set.
   bool device_unhealthy(const FileState& f, size_t device,
@@ -405,12 +448,22 @@ class NfsClient {
   /// Erasure-coded flush: expands dirty ranges to stripe-group boundaries,
   /// read-modify-writes missing group bytes, computes parity, and enqueues
   /// data + parity write-back.
-  sim::Task<void> flush_dirty_ec(FilePtr file, bool wait_completion);
+  sim::Task<void> flush_dirty_ec(FilePtr file);
   sim::Task<void> commit_unstable(FileState& f);
-  void account_valid_delta(FileState& f, int64_t delta);
-  void evict_clean_if_needed();
-  /// Drops all clean cached ranges of one file (revalidation failure).
+
+  // Page-cache bookkeeping: growing a file's valid or dirty set, or
+  // claiming dirty ranges, keeps cached_bytes_ / dirty_bytes_ in step.
+  void add_valid(FileState& f, uint64_t start, uint64_t end);
+  void add_dirty(FileState& f, uint64_t start, uint64_t end);
+  void remove_dirty(FileState& f, uint64_t start, uint64_t end);
+  void account_cached(int64_t delta);
+  /// Drops every clean cached range of one file: only the pinned ranges
+  /// (dirty data and retained uncommitted writes) stay valid.  Returns the
+  /// clean bytes dropped; the caller accounts for them.
+  uint64_t drop_clean(FileState& st);
+  /// drop_clean() for a failed revalidation.
   void invalidate_clean(FileState& st);
+  void evict_clean_if_needed();
   sim::Task<void> readahead(FilePtr file, uint64_t from, uint64_t to);
 
   // Backchannel (CB_LAYOUTRECALL service).
@@ -459,10 +512,12 @@ class NfsClient {
   uint64_t dirty_bytes_ = 0;
   uint64_t lru_clock_ = 0;
 
-  ClientStats stats_;
+  /// The counters' store when the fabric carries no registry, so stats()
+  /// always has one to read.
+  obs::MetricsRegistry own_metrics_;
+  obs::MetricsRegistry* metrics_;  ///< the fabric's registry, or own_metrics_
 
-  // "client.cache" component handles, resolved once at construction (null
-  // sinks when the fabric carries no registry).
+  // "client.cache" component handles, resolved once at construction.
   obs::Counter* m_hit_bytes_;
   obs::Counter* m_miss_bytes_;
   obs::Counter* m_read_bytes_;

@@ -156,7 +156,7 @@ struct DegradedOutcome {
   nfs::ClientStats reader;
 };
 
-const nfs::ClientStats& client_stats(core::Deployment& d, size_t i) {
+nfs::ClientStats client_stats(core::Deployment& d, size_t i) {
   return dynamic_cast<core::NfsFileSystemClient&>(d.client(i)).native().stats();
 }
 
