@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,7 +69,7 @@ core::Architecture parse_arch(const std::string& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_simulation(int argc, char** argv) {
   if (flag(argc, argv, "--help") || flag(argc, argv, "-h")) {
     std::printf(
         "usage: simulate [--arch=direct|pvfs|2tier|3tier|nfs]\n"
@@ -560,4 +561,13 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(d.flight().events_recorded()));
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run_simulation(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "simulate: %s\n", e.what());
+    return 1;
+  }
 }

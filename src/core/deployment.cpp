@@ -35,6 +35,23 @@ ClusterConfig normalize_core_mode(ClusterConfig c) {
   return c;
 }
 
+/// Rejects an erasure-coding geometry the back end cannot place: every
+/// create would fail at the metadata server.
+void check_redundancy_geometry(const ClusterConfig& c) {
+  if (c.distribution != pvfs::DistKind::kErasure) return;
+  // 3-tier splits its machines: half hold the disks.
+  const uint32_t backend = c.architecture == Architecture::kPnfs3Tier
+                               ? c.storage_nodes / 2
+                               : c.storage_nodes;
+  const uint32_t active = backend - std::min(backend, c.spare_nodes);
+  if (c.ec_k + c.ec_m > active) {
+    throw std::invalid_argument(util::sformat(
+        "erasure coding needs ec_k + ec_m = %u storage nodes, but only %u "
+        "are active (%u back-end nodes, %u spares)",
+        c.ec_k + c.ec_m, active, backend, c.spare_nodes));
+  }
+}
+
 }  // namespace
 
 Deployment::Deployment(ClusterConfig config)
@@ -45,6 +62,7 @@ Deployment::Deployment(ClusterConfig config)
       tenants_ledger_(config_.tenant_topk),
       flight_(config_.flight_capacity),
       fabric_(net_) {
+  check_redundancy_geometry(config_);
   // Before any server/client is constructed: they resolve their metric
   // handles from the fabric at construction time.
   tracer_.set_span_capacity(config_.trace_span_capacity);

@@ -64,6 +64,9 @@ Task<rpc::RpcClient::Reply> PvfsClient::meta_call(MetaProc proc,
   if (reply.transport != rpc::Status::kOk) {
     throw PvfsError(PvfsStatus::kIo, "meta RPC timed out");
   }
+  if (reply.status != rpc::ReplyStatus::kAccepted) {
+    throw PvfsError(PvfsStatus::kIo, "meta RPC rejected by the server");
+  }
   co_return reply;
 }
 
@@ -88,6 +91,9 @@ Task<rpc::RpcClient::Reply> PvfsClient::io_call(uint32_t server_index,
   buffers_.release();
   if (reply.transport != rpc::Status::kOk) {
     throw PvfsError(PvfsStatus::kIo, "storage RPC timed out");
+  }
+  if (reply.status != rpc::ReplyStatus::kAccepted) {
+    throw PvfsError(PvfsStatus::kIo, "storage RPC rejected by the server");
   }
   co_return reply;
 }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "core/deployment.hpp"
 #include "util/bytes.hpp"
@@ -270,6 +272,41 @@ TEST(DeploymentShape, TwoTierMovesDataBetweenServers) {
   };
   EXPECT_GT(elapsed(Architecture::kPnfs2Tier),
             elapsed(Architecture::kDirectPnfs));
+}
+
+/// The construction error for `cfg`, or "" when it builds.
+std::string construction_error(const ClusterConfig& cfg) {
+  try {
+    Deployment d(cfg);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DeploymentShape, RejectsErasureCodingWiderThanActiveStorage) {
+  // The default EC(4+2) needs six active storage nodes.
+  ClusterConfig cfg = small_config(Architecture::kDirectPnfs);
+  cfg.distribution = pvfs::DistKind::kErasure;
+  EXPECT_EQ(construction_error(cfg),
+            "erasure coding needs ec_k + ec_m = 6 storage nodes, but only 4 "
+            "are active (4 back-end nodes, 0 spares)");
+  // Spares do not hold new distributions.
+  cfg.storage_nodes = 6;
+  cfg.spare_nodes = 1;
+  EXPECT_EQ(construction_error(cfg),
+            "erasure coding needs ec_k + ec_m = 6 storage nodes, but only 5 "
+            "are active (6 back-end nodes, 1 spares)");
+  // 3-tier holds its disks on half of its machines.
+  cfg.architecture = Architecture::kPnfs3Tier;
+  cfg.storage_nodes = 8;
+  cfg.spare_nodes = 0;
+  EXPECT_EQ(construction_error(cfg),
+            "erasure coding needs ec_k + ec_m = 6 storage nodes, but only 4 "
+            "are active (4 back-end nodes, 0 spares)");
+  cfg.architecture = Architecture::kDirectPnfs;
+  cfg.storage_nodes = 6;
+  EXPECT_EQ(construction_error(cfg), "");
 }
 
 }  // namespace

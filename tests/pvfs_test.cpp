@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "pvfs/client.hpp"
 #include "pvfs/meta_server.hpp"
@@ -84,7 +85,8 @@ struct PvfsCluster {
   sim::Node* cl_node = nullptr;
   std::unique_ptr<PvfsClient> client;
 
-  explicit PvfsCluster(uint64_t stripe_unit = 1_MiB) {
+  explicit PvfsCluster(uint64_t stripe_unit = 1_MiB,
+                       MetaServerConfig mcfg = {}) {
     std::vector<rpc::RpcAddress> addrs;
     for (int i = 0; i < kStorage; ++i) {
       auto& node = net.add_node(sim::NodeParams{
@@ -100,7 +102,6 @@ struct PvfsCluster {
     }
     // Metadata manager doubles on storage node 0 (paper setup).
     meta_node = &net.node(0);
-    MetaServerConfig mcfg;
     mcfg.stripe_unit = stripe_unit;
     meta = std::make_unique<PvfsMetaServer>(fabric, *meta_node,
                                             rpc::kPvfsMetaPort, kStorage, mcfg);
@@ -129,6 +130,27 @@ TEST(PvfsEndToEnd, CreateWriteReadBack) {
     EXPECT_EQ(p, Payload::from_string("parallel bytes"));
     co_await f.client->close(file);
   }(f));
+}
+
+TEST(PvfsEndToEnd, RefusedCreateSurfacesAsPvfsError) {
+  // EC(4+2) needs six storage nodes and the cluster has three: the
+  // metadata server's create handler throws, and the RPC layer answers
+  // SYSTEM_ERR with no body.
+  MetaServerConfig mcfg;
+  mcfg.distribution = DistKind::kErasure;
+  PvfsCluster f(1_MiB, mcfg);
+  std::string error;
+  f.run([](PvfsCluster& f, std::string& error) -> Task<void> {
+    try {
+      co_await f.client->create("/data");
+      error = "none";
+    } catch (const PvfsError&) {
+      error = "PvfsError";
+    } catch (const rpc::XdrError&) {
+      error = "XdrError";
+    }
+  }(f, error));
+  EXPECT_EQ(error, "PvfsError");
 }
 
 TEST(PvfsEndToEnd, DataStripedAcrossStorageNodes) {
