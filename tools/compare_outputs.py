@@ -1,0 +1,217 @@
+#!/usr/bin/env python3
+"""Prove that two builds of the simulator produce byte-identical outputs.
+
+Runs a fixed list of `simulate` recipes (data-server crashes, revives and
+restarts; mirror and erasure-coded kills and transient outages; seeded
+chaos storms on all five architectures) through each tree's
+`build/examples/simulate`, and byte-compares per recipe the exit code,
+stdout, the `--metrics-out` document and the `--flight-out` dump.  Then it
+runs each tree's full `bench_fig6_write` and `bench_fig7_read` and
+byte-compares their BENCH files.  A refactor that claims "same outputs"
+(same wire bytes, same same-seed results, same figure numbers) should pass
+this unchanged.
+
+Both trees must already be built (`cmake --build <tree>/build`).  Every
+run happens in its own scratch directory under a temporary root, with the
+same relative output paths, so stdout lines that echo those paths match.
+
+Usage:
+  compare_outputs.py PARENT_TREE CHANGE_TREE [--no-bench] [--keep=DIR]
+
+Exit status: 0 when every recipe and BENCH file matches, 1 otherwise (each
+differing recipe is named), 2 on usage errors.
+"""
+
+import filecmp
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+# Sized so the run outlasts the scripted fault times: about 1-3 s of
+# simulated time, and chaos storms (200-2200 ms) fit inside their runs.
+SMALL = ["--clients=2", "--storage-nodes=4", "--bytes=33554432"]
+CHAOS = ["--clients=2", "--storage-nodes=4", "--bytes=67108864"]
+
+# (name, simulate arguments).  Names are stable: they key the scratch
+# directories and the report.
+RECIPES = [
+    # Stripe layout, one data server's NFS service down.
+    ("ds-crash-ior-write", ["--workload=ior-write", *SMALL, "--fault-ds-crash=1",
+                            "--fault-at-ms=300"]),
+    ("ds-crash-ior-read", ["--workload=ior-read", *SMALL, "--fault-ds-crash=1",
+                           "--fault-at-ms=300"]),
+    ("ds-revive-ior-write", ["--workload=ior-write", *SMALL, "--fault-ds-crash=1",
+                             "--fault-at-ms=300", "--fault-revive-ms=900"]),
+    ("ds-revive-ior-read", ["--workload=ior-read", *SMALL, "--fault-ds-crash=1",
+                            "--fault-at-ms=300", "--fault-revive-ms=900"]),
+    ("ds-restart-ior-write", ["--workload=ior-write", *SMALL,
+                              "--fault-ds-restart=1", "--fault-at-ms=300"]),
+    ("ds-restart-ior-read", ["--workload=ior-read", *SMALL,
+                             "--fault-ds-restart=1", "--fault-at-ms=300"]),
+    ("strided-crash", ["--workload=strided", *SMALL, "--fault-ds-crash=1",
+                       "--fault-at-ms=50"]),
+    ("strided-restart", ["--workload=strided", *SMALL, "--fault-ds-restart=1",
+                         "--fault-at-ms=50"]),
+    ("oltp-crash", ["--workload=oltp", *SMALL, "--txns=200", "--fault-ds-crash=1",
+                    "--fault-at-ms=100"]),
+    ("oltp-restart", ["--workload=oltp", *SMALL, "--txns=200",
+                      "--fault-ds-restart=1", "--fault-at-ms=300"]),
+    # Redundant layouts: permanent kills (with rebuild spares) and transient
+    # outages.
+    ("mirror-kill-write", ["--workload=ior-write", "--clients=2",
+                           "--storage-nodes=4", "--bytes=4194304",
+                           "--redundancy=mirror", "--fault-ds-kill=1",
+                           "--fault-at-ms=50"]),
+    ("mirror-kill-read", ["--workload=ior-read", "--clients=2",
+                          "--storage-nodes=4", "--bytes=4194304",
+                          "--redundancy=mirror", "--fault-ds-kill=1",
+                          "--fault-at-ms=50"]),
+    ("mirror-kill-spare", ["--workload=ior-write", "--clients=2",
+                           "--storage-nodes=4", "--bytes=4194304",
+                           "--redundancy=mirror", "--spares=1",
+                           "--fault-ds-kill=1", "--fault-at-ms=50",
+                           "--rebuild-after-ms=300"]),
+    ("ec-kill-write", ["--workload=ior-write", "--clients=2",
+                       "--storage-nodes=6", "--bytes=4194304",
+                       "--stripe=262144", "--redundancy=ec",
+                       "--fault-ds-kill=1", "--fault-at-ms=50"]),
+    ("ec-kill-read", ["--workload=ior-read", "--clients=2",
+                      "--storage-nodes=6", "--bytes=4194304",
+                      "--stripe=262144", "--redundancy=ec",
+                      "--fault-ds-kill=1", "--fault-at-ms=50"]),
+    ("ec-kill-spare", ["--workload=ior-write", "--clients=2",
+                       "--storage-nodes=7", "--bytes=4194304",
+                       "--stripe=262144", "--redundancy=ec", "--spares=1",
+                       "--fault-ds-kill=1", "--fault-at-ms=50",
+                       "--rebuild-after-ms=300"]),
+    ("mirror-restart", ["--workload=ior-write", "--clients=2",
+                        "--storage-nodes=4", "--bytes=4194304",
+                        "--redundancy=mirror", "--fault-ds-restart=1",
+                        "--fault-at-ms=50"]),
+    ("mirror-revive-read", ["--workload=ior-read", "--clients=2",
+                            "--storage-nodes=4", "--bytes=4194304",
+                            "--redundancy=mirror", "--fault-ds-crash=1",
+                            "--fault-at-ms=50", "--fault-revive-ms=400"]),
+    ("ec-restart", ["--workload=ior-write", "--clients=2",
+                    "--storage-nodes=6", "--bytes=4194304",
+                    "--stripe=262144", "--redundancy=ec",
+                    "--fault-ds-restart=1", "--fault-at-ms=50"]),
+    ("ec-revive-read", ["--workload=ior-read", "--clients=2",
+                        "--storage-nodes=6", "--bytes=4194304",
+                        "--stripe=262144", "--redundancy=ec",
+                        "--fault-ds-crash=1", "--fault-at-ms=50",
+                        "--fault-revive-ms=400"]),
+    # An erasure-coding geometry wider than the active storage nodes.
+    ("ec-too-wide", ["--workload=ior-write", *SMALL, "--redundancy=ec"]),
+]
+for _arch in ("direct", "pvfs", "2tier", "3tier", "nfs"):
+    for _seed in (1, 2, 3):
+        RECIPES.append((f"chaos-{_arch}-{_seed}",
+                        [f"--arch={_arch}", "--workload=ior-write", *CHAOS,
+                         f"--chaos-seed={_seed}"]))
+for _seed in (4, 5, 6, 7):
+    RECIPES.append((f"chaos-ior-read-{_seed}",
+                    ["--workload=ior-read", *CHAOS, f"--chaos-seed={_seed}"]))
+RECIPES += [
+    ("chaos-oltp", ["--workload=oltp", *SMALL, "--txns=600", "--chaos-seed=8"]),
+    ("chaos-strided", ["--workload=strided", *SMALL, "--chaos-seed=9"]),
+]
+
+BENCHES = [("bench_fig6_write", "BENCH_fig6_write.json"),
+           ("bench_fig7_read", "BENCH_fig7_read.json")]
+
+
+def run_recipe(tree, args, workdir):
+    """Runs one recipe in `workdir` (stdout kept as stdout.txt); returns
+    (exit code, stdout bytes)."""
+    os.makedirs(workdir, exist_ok=True)
+    exe = os.path.join(tree, "build", "examples", "simulate")
+    proc = subprocess.run(
+        [exe, *args, "--metrics-out=metrics.json", "--flight-out=flight.json"],
+        cwd=workdir, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        check=False)
+    with open(os.path.join(workdir, "stdout.txt"), "wb") as f:
+        f.write(proc.stdout)
+    return proc.returncode, proc.stdout
+
+
+def same_file(a, b):
+    if not os.path.exists(a) or not os.path.exists(b):
+        return os.path.exists(a) == os.path.exists(b)
+    return filecmp.cmp(a, b, shallow=False)
+
+
+def compare_recipe(trees, name, args, root):
+    """Returns the list of outputs that differ for one recipe."""
+    dirs = [os.path.join(root, side, name) for side in ("parent", "change")]
+    results = [run_recipe(tree, args, d) for tree, d in zip(trees, dirs)]
+    diffs = []
+    if results[0][0] != results[1][0]:
+        diffs.append(f"exit {results[0][0]} vs {results[1][0]}")
+    if results[0][1] != results[1][1]:
+        diffs.append("stdout")
+    for out in ("metrics.json", "flight.json"):
+        if not same_file(*(os.path.join(d, out) for d in dirs)):
+            diffs.append(out)
+    return diffs
+
+
+def compare_bench(trees, exe, out, root):
+    dirs = [os.path.join(root, side, exe) for side in ("parent", "change")]
+    for tree, d in zip(trees, dirs):
+        os.makedirs(d, exist_ok=True)
+        subprocess.run([os.path.join(tree, "build", "bench", exe)], cwd=d,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                       check=False)
+    return same_file(*(os.path.join(d, out) for d in dirs))
+
+
+def main(argv):
+    args = [a for a in argv[1:] if not a.startswith("--")]
+    flags = [a for a in argv[1:] if a.startswith("--")]
+    keep = None
+    for f in flags:
+        if f.startswith("--keep="):
+            keep = f.split("=", 1)[1]
+        elif f != "--no-bench":
+            print(f"unknown option {f}", file=sys.stderr)
+            return 2
+    if len(args) != 2:
+        print("usage: compare_outputs.py PARENT_TREE CHANGE_TREE [--no-bench] "
+              "[--keep=DIR]", file=sys.stderr)
+        return 2
+    trees = [os.path.abspath(t) for t in args]
+    for tree in trees:
+        if not os.access(os.path.join(tree, "build", "examples", "simulate"),
+                         os.X_OK):
+            print(f"{tree}: no build/examples/simulate; build the tree first",
+                  file=sys.stderr)
+            return 2
+
+    root = keep or tempfile.mkdtemp(prefix="compare_outputs.")
+    differing = []
+    for name, recipe in RECIPES:
+        diffs = compare_recipe(trees, name, recipe, root)
+        print(f"{'DIFF' if diffs else 'same'}  {name}"
+              + (f"  ({', '.join(diffs)})" if diffs else ""))
+        if diffs:
+            differing.append(name)
+    if "--no-bench" not in flags:
+        for exe, out in BENCHES:
+            same = compare_bench(trees, exe, out, root)
+            print(f"{'same' if same else 'DIFF'}  {out}")
+            if not same:
+                differing.append(out)
+
+    print(f"\n{len(differing)} differing: {' '.join(differing) or '-'}")
+    if keep:
+        print(f"outputs kept in {keep}")
+    else:
+        shutil.rmtree(root, ignore_errors=True)
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
