@@ -634,11 +634,7 @@ Task<NfsClient::FilePtr> NfsClient::open(const std::string& path, bool create,
   std::optional<FileLayout> layout;
   if (config_.pnfs_enabled && r.try_next(OpCode::kLayoutGet) == Status::kOk) {
     FileLayout l = LayoutGetRes::decode(r.dec()).layout;
-    // Usable only when the aggregation scheme and every device are known.
-    const bool driver_ok = aggregations_->find(l.aggregation) != nullptr;
-    bool devices_ok = l.valid();
-    for (const auto& d : l.devices) devices_ok &= devices_.contains(d);
-    if (driver_ok && devices_ok) {
+    if (layout_usable(l)) {
       layout = std::move(l);
     } else {
       util::logf(util::LogLevel::kWarn, "nfs.client",
@@ -865,6 +861,12 @@ void NfsClient::record_ds_result(const rpc::RpcAddress& addr, bool ok) {
   }
 }
 
+bool NfsClient::layout_usable(const FileLayout& l) const {
+  bool ok = l.valid() && aggregations_->find(l.aggregation) != nullptr;
+  for (const auto& d : l.devices) ok &= devices_.contains(d);
+  return ok;
+}
+
 Task<void> NfsClient::refetch_layout(FileState& f, bool force) {
   if (!config_.pnfs_enabled || !f.layout) co_return;
   const sim::Time now = fabric_.simulation().now();
@@ -886,10 +888,7 @@ Task<void> NfsClient::refetch_layout(FileState& f, bool force) {
     expect_sequence_putfh(r);
     if (r.try_next(OpCode::kLayoutGet) == Status::kOk) {
       FileLayout l = LayoutGetRes::decode(r.dec()).layout;
-      const bool driver_ok = aggregations_->find(l.aggregation) != nullptr;
-      bool devices_ok = l.valid();
-      for (const auto& d : l.devices) devices_ok &= devices_.contains(d);
-      if (driver_ok && devices_ok) f.layout = std::move(l);
+      if (layout_usable(l)) f.layout = std::move(l);
     }
   } catch (const NfsError&) {
     // Keep the stale layout; per-slice fallback still makes progress.
@@ -1085,7 +1084,6 @@ Task<bool> NfsClient::ec_reconstruct_block(FileState& f, const IoSlice& slice,
 }
 
 Task<bool> NfsClient::degraded_read(FileState& f, IoSlice slice, Payload& out) {
-  if (!redundant(f)) co_return false;
   const size_t home = slice.device_index;
   bool served = false;
   if (f.layout->aggregation == AggregationType::kErasureCoded) {
@@ -1295,7 +1293,7 @@ Task<void> NfsClient::recover(FileState& f, IoSlice slice,
   // Known-unhealthy home device (open breaker, or a degraded range a dead
   // incarnation never received): let the surviving redundancy take the
   // slice instead of burning the retry budget.
-  if (policy.absorb_up_front && via_ds &&
+  if (policy.absorb_up_front && via_ds && redundant(f) &&
       device_unhealthy(f, slice.device_index, slice.file_offset,
                        slice.file_offset + slice.length) &&
       co_await absorb()) {
@@ -1320,7 +1318,7 @@ Task<void> NfsClient::recover(FileState& f, IoSlice slice,
   }
   // Redundancy rung: a surviving replica, k-of-n reconstruction or the
   // degraded set covers the slice without the home DS, and without the MDS.
-  if (co_await absorb()) co_return;
+  if (redundant(f) && co_await absorb()) co_return;
   if (!policy.may_fall_back || !config_.mds_fallback) {
     errors.record(fail);
     co_return;
@@ -1360,7 +1358,6 @@ Task<void> NfsClient::run_write_slice(FileState& f, IoSlice slice,
         co_await write_vector_op(f, one, piece, trace_parent);
       },
       [&]() -> Task<bool> {
-        if (!redundant(f)) co_return false;
         note_degraded_write(f, slice);
         co_return true;
       },
@@ -1435,7 +1432,6 @@ Task<void> NfsClient::run_commit_target(FileState& f, size_t device_index,
         if (verifier_out != nullptr) *verifier_out = v;
       },
       [&]() -> Task<bool> {
-        if (!redundant(f)) co_return false;
         // The target is gone and its volatile bytes with it.  Move the
         // retained ranges into the degraded set — the surviving redundancy
         // holds the data — and drop the target so fsync converges.

@@ -362,10 +362,11 @@ class NfsClient {
   /// The recovery ladder every data-server operation shares: the up-front
   /// redundancy rung, same-DS retries (breaker-aware), the redundancy rung
   /// again, then the MDS fallback.  `attempt(slice)` performs the operation
-  /// once (throwing NfsError) against the DS slice or its MDS substitute;
-  /// `absorb()` is the redundancy rung and reports whether it served or
-  /// absorbed the slice.  MDS-bound slices get one attempt.  A terminal
-  /// error lands in `errors`.
+  /// once (throwing NfsError) against the DS slice or its MDS substitute.
+  /// `absorb()` is the redundancy rung, reached only on redundant layouts;
+  /// it reports whether the surviving redundancy served or absorbed the
+  /// slice.  MDS-bound slices get one attempt.  A terminal error lands in
+  /// `errors`.
   template <typename Attempt, typename Absorb>
   sim::Task<void> recover(FileState& f, IoSlice slice, RecoveryPolicy policy,
                           Attempt attempt, Absorb absorb,
@@ -407,6 +408,9 @@ class NfsClient {
   bool breaker_open(const rpc::RpcAddress& addr) const;
   void record_ds_result(const rpc::RpcAddress& addr, bool ok);
   sim::Task<void> refetch_layout(FileState& f, bool force = false);
+  /// A granted layout is usable only when its aggregation scheme and every
+  /// device are known.
+  bool layout_usable(const FileLayout& l) const;
   /// Records a "nfs.client" event in the flight recorder, if the fabric
   /// carries one.
   void flight_event(const char* kind, const std::string& detail) const;
@@ -432,9 +436,10 @@ class NfsClient {
   /// holding the same bytes.  `avoid` is the device being routed around.
   /// False when no healthy alternate exists.
   bool remap_replica(const FileState& f, IoSlice& slice, size_t avoid) const;
-  /// Degraded-read rung: serve `slice` without its home DS — surviving
-  /// replica / mirror-group member, or reconstruction from k surviving
-  /// erasure shards.  Fills `out` and returns true on success.
+  /// Degraded-read rung on a redundant layout: serve `slice` without its
+  /// home DS — surviving replica / mirror-group member, or reconstruction
+  /// from k surviving erasure shards.  Fills `out` and returns true on
+  /// success.
   sim::Task<bool> degraded_read(FileState& f, IoSlice slice,
                                 rpc::Payload& out);
   /// Reads the `su`-sized erasure shards of the group containing
