@@ -1333,15 +1333,19 @@ Task<void> NfsClient::recover(FileState& f, IoSlice slice,
   }
 }
 
+// run_read_slice and run_write_slice are not coroutines: the steps they
+// hand to recover() hold by value what the call's parameters carry, so
+// recover()'s frame is the only one a slice operation adds.
 Task<void> NfsClient::run_read_slice(FileState& f, IoSlice slice, Payload& out,
                                      StatusCollector& errors) {
   // A degraded read that fails up front still leaves the home DS to try.
-  co_await recover(
+  return recover(
       f, slice, RecoveryPolicy{.absorb_up_front = true},
-      [&](const IoSlice& s) -> Task<void> {
+      [this, &f, &out](const IoSlice& s) -> Task<void> {
         out = co_await read_slice_op(f, s);
       },
-      [&] { return degraded_read(f, slice, out); }, errors);
+      [this, &f, &out, slice] { return degraded_read(f, slice, out); },
+      errors);
 }
 
 Task<void> NfsClient::run_write_slice(FileState& f, IoSlice slice,
@@ -1350,14 +1354,16 @@ Task<void> NfsClient::run_write_slice(FileState& f, IoSlice slice,
   // Surviving redundancy absorbs the write: the device's stale range joins
   // the degraded set so reads route around it.  Parity payloads are derived
   // bytes; proxying them through the MDS would overwrite file content.
-  co_await recover(
-      f, slice,
-      RecoveryPolicy{.absorb_up_front = true, .may_fall_back = !slice.parity},
-      [&](const IoSlice& s) -> Task<void> {
+  const RecoveryPolicy policy{.absorb_up_front = true,
+                              .may_fall_back = !slice.parity};
+  return recover(
+      f, slice, policy,
+      [this, &f, piece = std::move(piece),
+       trace_parent](const IoSlice& s) -> Task<void> {
         const std::vector<IoSlice> one{s};
         co_await write_vector_op(f, one, piece, trace_parent);
       },
-      [&]() -> Task<bool> {
+      [this, &f, slice]() -> Task<bool> {
         note_degraded_write(f, slice);
         co_return true;
       },
