@@ -5,10 +5,8 @@
 #include <map>
 #include <stdexcept>
 
-#include "sim/frame_pool.hpp"
 #include "util/bytes.hpp"
 #include "util/format.hpp"
-#include "util/pool.hpp"
 #include "util/rng.hpp"
 
 namespace dpnfs::core {
@@ -27,13 +25,6 @@ const char* architecture_name(Architecture a) {
 }
 
 namespace {
-
-// Legacy-core mode also reverts the network transfer shortcuts, so the
-// whole pre-overhaul hot path is measurable as one switch.
-ClusterConfig normalize_core_mode(ClusterConfig c) {
-  if (c.legacy_core) c.network.fast_path = false;
-  return c;
-}
 
 /// Rejects an erasure-coding geometry the back end cannot place: every
 /// create would fail at the metadata server.
@@ -55,9 +46,7 @@ void check_redundancy_geometry(const ClusterConfig& c) {
 }  // namespace
 
 Deployment::Deployment(ClusterConfig config)
-    : config_(normalize_core_mode(std::move(config))),
-      sim_(config_.legacy_core ? sim::QueueKind::kBinaryHeap
-                               : sim::QueueKind::kCalendar),
+    : config_(std::move(config)),
       net_(sim_, config_.network),
       tenants_ledger_(config_.tenant_topk),
       flight_(config_.flight_capacity),
@@ -74,10 +63,6 @@ Deployment::Deployment(ClusterConfig config)
   fabric_.set_observability(&metrics_, &tracer_);
   tenants_ledger_.set_slo_threshold(config_.trace_slo_threshold);
   fabric_.set_accounting(&tenants_ledger_, &flight_);
-  // Allocation pools follow the core mode (thread-local switches; the next
-  // Deployment built on this thread re-asserts its own mode).
-  sim::FramePool::set_enabled(!config_.legacy_core);
-  util::BufferPool::set_enabled(!config_.legacy_core);
   // WARN+ log lines ride the flight ring, so a dump carries the log tail
   // without an always-on log file.  The previous sink is restored at
   // destruction (deployments nest in tests).

@@ -61,7 +61,7 @@ Task<bool> Network::transfer(Node& src, Node& dst, uint64_t bytes,
 
   uint64_t remaining = std::max<uint64_t>(bytes, 1);  // header-only msgs move >=1 byte
 
-  if (params_.fast_path && remaining <= params_.chunk_bytes) {
+  if (remaining <= params_.chunk_bytes) {
     // Single-chunk message (the common case at scale: headers and small
     // I/O).  TX then RX inline in this coroutine — no window semaphore, no
     // spawned receive leg, no wait group.  Costs charged are identical to
@@ -98,7 +98,7 @@ Task<bool> Network::transfer(Node& src, Node& dst, uint64_t bytes,
 
     co_await window.acquire();
     uint32_t permits = 1;
-    if (params_.fast_path && s.active_tx_flows() == 1) {
+    if (s.active_tx_flows() == 1) {
       // Sole flow on this TX link: batch additional chunks into this hold
       // to amortize per-chunk scheduling.  The decision consults only the
       // link-local flow census — O(active flows on the affected link).

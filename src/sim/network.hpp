@@ -72,12 +72,6 @@ struct NetworkParams {
   uint64_t chunk_bytes = 256 * 1024;   ///< bandwidth-sharing granularity
   uint32_t flow_window_chunks = 4;     ///< max in-flight chunks per flow
   double loopback_bytes_per_sec = 3e9; ///< same-node "transfer" (memcpy-ish)
-  /// Hot-path shortcuts (disabled by the legacy-core bench mode):
-  /// single-chunk messages run TX→RX inline in the caller's coroutine (no
-  /// window semaphore, no spawned receive leg), and a multi-chunk flow that
-  /// has its TX link to itself batches up to a window's worth of chunks per
-  /// TX hold.  Neither changes the bytes or busy time charged to any NIC.
-  bool fast_path = true;
 };
 
 /// The switched network connecting all nodes.

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <cstring>
+#include <functional>
+#include <queue>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "sim/event_queue.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
 
@@ -171,7 +178,7 @@ TEST(TimeHelpers, DurationForBytes) {
   EXPECT_GE(duration_for_bytes(1, 1e12), 1);  // nonzero payload takes time
 }
 
-// --- Event-queue equivalence and memory bounds -----------------------------
+// --- Event-queue order and memory bounds -----------------------------------
 
 namespace {
 
@@ -192,27 +199,79 @@ Task<void> chain(Simulation& sim, uint64_t seed, int hops,
   }
 }
 
-std::vector<std::pair<Time, uint64_t>> run_schedule(QueueKind kind) {
-  Simulation sim(kind);
-  std::vector<std::pair<Time, uint64_t>> order;
-  for (uint64_t c = 0; c < 32; ++c) {
-    sim.spawn(chain(sim, c + 1, 64, order));
+struct Lcg {
+  uint64_t s;
+  uint64_t next() {
+    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    return s >> 17;
   }
-  sim.run();
-  return order;
+};
+
+// Same tick, inside the calendar wheel's ~8.4 ms horizon, or past it into
+// the overflow heap.
+Duration mixed_delay(Lcg& rng) {
+  const uint64_t r = rng.next();
+  switch (r % 8) {
+    case 0:
+    case 1:
+    case 2:
+      return 0;
+    case 7:
+      return ms(9) + static_cast<Duration>(r % 200'000'000ULL);
+    default:
+      return 1 + static_cast<Duration>(r % 8'300'000ULL);
+  }
 }
 
 }  // namespace
 
-// The calendar queue is a drop-in replacement: both queue kinds must
-// realize the exact same (time, seq) total order, so a run is bit-identical
-// regardless of which core executed it.  This is what lets bench_scale
-// compare wall-clock cost across cores on the same simulated result.
-TEST(EventQueue, CalendarAndBinaryHeapRealizeIdenticalOrder) {
-  const auto calendar = run_schedule(QueueKind::kCalendar);
-  const auto heap = run_schedule(QueueKind::kBinaryHeap);
-  ASSERT_EQ(calendar.size(), heap.size());
-  EXPECT_EQ(calendar, heap);
+// The calendar queue must realize the (time, seq) total order of a plain
+// min-heap.  A bare queue and a reference std::priority_queue take the same
+// pushes, made the way Simulation makes them (relative to the clock, seq
+// increasing), and every pop must agree.
+TEST(EventQueue, PopsInReferenceHeapOrder) {
+  using Key = std::pair<Time, uint64_t>;
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> ref;
+  EventQueue q;
+  Lcg rng{0x5eed};
+  Time now = 0;
+  uint64_t seq = 0;
+  auto schedule = [&](Duration d) {
+    q.push(now + d, seq, std::noop_coroutine());
+    ref.emplace(now + d, seq++);
+  };
+  for (int i = 0; i < 512; ++i) schedule(mixed_delay(rng));
+
+  uint64_t pops = 0;
+  bool jumped = false;
+  while (!q.empty()) {
+    ASSERT_EQ(q.size(), ref.size()) << "pop " << pops;
+    ASSERT_EQ(q.next_time(), ref.top().first) << "pop " << pops;
+    // Simulation::run_until, once: the next event lies past the deadline,
+    // so the clock moves to the deadline without a pop, past the queue's
+    // own cursor.  Pushes that follow, even zero-delay ones, land ahead of
+    // that cursor.
+    if (!jumped && pops >= 20'000 && q.next_time() > now + 1) {
+      now += (q.next_time() - now) / 2;
+      jumped = true;
+      for (int i = 0; i < 64; ++i) schedule(mixed_delay(rng));
+      continue;
+    }
+    // Simulation::run: pop, move the clock, dispatch.  Each dispatch
+    // schedules one follow-up and now and then a second, until the push
+    // budget runs out and the queue drains.
+    const Event e = q.pop();
+    ASSERT_EQ(Key(e.time, e.seq), ref.top()) << "pop " << pops;
+    ref.pop();
+    now = e.time;
+    ++pops;
+    if (seq < 40'000) {
+      schedule(mixed_delay(rng));
+      if (rng.next() % 4 == 0) schedule(mixed_delay(rng));
+    }
+  }
+  EXPECT_TRUE(ref.empty());
+  EXPECT_TRUE(jumped);
 }
 
 // Queue storage must not ratchet: after a burst of events drains, the
@@ -221,37 +280,73 @@ TEST(EventQueue, CalendarAndBinaryHeapRealizeIdenticalOrder) {
 // immediate ring and per-bucket heaps; oversized bucket storage is dropped
 // on drain).
 TEST(EventQueue, StorageShrinksAfterBurst) {
-  for (QueueKind kind : {QueueKind::kCalendar, QueueKind::kBinaryHeap}) {
-    Simulation sim(kind);
-    std::vector<std::pair<Time, uint64_t>> sink;
-    // 30k one-shot wakeups in a two-bucket window: the immediate ring grows
-    // to hold every spawn, then two bucket heaps (or the binary heap) hold
-    // every pending timer at once — every storage tier hits its high-water
-    // mark before a single event fires.
-    uint64_t fired = 0;
-    for (uint64_t c = 0; c < 30'000; ++c) {
-      sim.spawn([](Simulation& sim, uint64_t seed,
-                   uint64_t& fired) -> Task<void> {
-        co_await sim.delay(static_cast<Duration>(
-            (seed * 6364136223846793005ULL + 1442695040888963407ULL) % 4096));
-        ++fired;
-      }(sim, c + 1, fired));
-    }
-    sim.run();
-    ASSERT_EQ(fired, 30'000u);
-    const size_t drained = sim.queue_memory_bytes();
-
-    // A light follow-up load must not see the burst's footprint again.
-    sim.spawn(chain(sim, 99, 8, sink));
-    sim.run();
-    const size_t steady = sim.queue_memory_bytes();
-
-    // The structural floor (calendar bucket array / empty heap) plus a
-    // bounded per-bucket cache: far below the burst's tens of thousands of
-    // queued events (~MBs if retained).
-    EXPECT_LT(drained, 1u << 21) << "kind " << static_cast<int>(kind);
-    EXPECT_LT(steady, 1u << 21) << "kind " << static_cast<int>(kind);
+  Simulation sim;
+  std::vector<std::pair<Time, uint64_t>> sink;
+  // 30k one-shot wakeups in a two-bucket window: the immediate ring grows
+  // to hold every spawn, then two bucket heaps hold every pending timer at
+  // once — every storage tier hits its high-water mark before a single
+  // event fires.
+  uint64_t fired = 0;
+  for (uint64_t c = 0; c < 30'000; ++c) {
+    sim.spawn([](Simulation& sim, uint64_t seed,
+                 uint64_t& fired) -> Task<void> {
+      co_await sim.delay(static_cast<Duration>(
+          (seed * 6364136223846793005ULL + 1442695040888963407ULL) % 4096));
+      ++fired;
+    }(sim, c + 1, fired));
   }
+  sim.run();
+  ASSERT_EQ(fired, 30'000u);
+  const size_t drained = sim.queue_memory_bytes();
+
+  // A light follow-up load must not see the burst's footprint again.
+  sim.spawn(chain(sim, 99, 8, sink));
+  sim.run();
+  const size_t steady = sim.queue_memory_bytes();
+
+  // The structural floor (the calendar bucket array) plus a bounded
+  // per-bucket cache: far below the burst's tens of thousands of queued
+  // events (~MBs if retained).
+  EXPECT_LT(drained, 1u << 21);
+  EXPECT_LT(steady, 1u << 21);
+}
+
+// Frames recycle by 64-byte size class, derived from the size alone: a freed
+// block is the next one handed out for its class, and only its class.
+TEST(FramePool, RecyclesBlocksBySizeClass) {
+  const uint64_t before = FramePool::live();
+  for (std::size_t n : {1, 64, 65, 8192, 8193}) {
+    void* p = FramePool::allocate(n);
+    std::memset(p, 0xa5, n);  // the whole requested size is usable
+    FramePool::deallocate(p, n);
+    void* again = FramePool::allocate(n);
+    if (n <= 8192) {
+      EXPECT_EQ(again, p) << "size " << n;
+    }
+    FramePool::deallocate(again, n);
+  }
+
+  // 1 and 64 share the first class; 65 starts the second.
+  void* small = FramePool::allocate(64);
+  FramePool::deallocate(small, 64);
+  void* next_class = FramePool::allocate(65);
+  EXPECT_NE(next_class, small);
+  void* tiny = FramePool::allocate(1);
+  EXPECT_EQ(tiny, small);
+
+  // 8 KiB is the largest class; 8193 bytes pass straight through to
+  // ::operator new, so they cannot take the cached 8 KiB block.
+  void* largest = FramePool::allocate(8192);
+  FramePool::deallocate(largest, 8192);
+  void* oversized = FramePool::allocate(8193);
+  EXPECT_NE(oversized, largest);
+  EXPECT_EQ(FramePool::allocate(8192), largest);
+
+  FramePool::deallocate(oversized, 8193);
+  FramePool::deallocate(largest, 8192);
+  FramePool::deallocate(tiny, 1);
+  FramePool::deallocate(next_class, 65);
+  EXPECT_EQ(FramePool::live(), before);
 }
 
 }  // namespace

@@ -447,28 +447,24 @@ def check_metrics_doc(path, doc):
                                 break
 
 
-# Series the scale sweep must record at every point (bench/bench_scale.cpp).
-# (figure, architecture, unit); sojourn percentiles are context, but context
-# that silently vanishes is a regression too, so they are required here.
+# Series the scale sweep must record at every point (bench/bench_scale.cpp),
+# all under one architecture label.  (figure, unit); sojourn percentiles are
+# context, but context that silently vanishes is a regression too, so they
+# are required here.
+SCALE_ARCH = "direct-pnfs"
 SCALE_SERIES = (
-    ("rate", "scale-core", "client-s/s"),
-    ("rate", "legacy-core", "client-s/s"),
-    ("core_rate", "scale-core", "client-s/s"),
-    ("core_rate", "legacy-core", "client-s/s"),
-    ("speedup", "event-core", "x"),
-    ("stack_speedup", "direct-pnfs", "x"),
-    ("p50_sojourn", "scale-core", "s"),
-    ("p99_sojourn", "scale-core", "s"),
-    ("p50_sojourn", "legacy-core", "s"),
-    ("p99_sojourn", "legacy-core", "s"),
-    ("peak_concurrency", "scale-core", "sessions"),
-    ("events_per_wall_s", "scale-core", "ev/s"),
+    ("rate", "client-s/s"),
+    ("p50_sojourn", "s"),
+    ("p99_sojourn", "s"),
+    ("peak_concurrency", "sessions"),
+    ("events_per_wall_s", "ev/s"),
 )
+SCALE_POSITIVE = ("rate", "peak_concurrency", "events_per_wall_s")
 
 
 def check_scale_bench(path, records):
     """BENCH_scale.json content contract: every sweep point carries the full
-    set of series, rates and speedups are positive, and the big point
+    set of series and no other, rates are positive, and the big point
     sustains a four-digit concurrent population."""
     by_series = {}
     for rec in records:
@@ -483,30 +479,34 @@ def check_scale_bench(path, records):
         err(path, "scale bench has no sweep points")
         return
 
-    for figure, arch, unit in SCALE_SERIES:
-        recs = by_series.get((figure, arch))
+    expected = {(figure, SCALE_ARCH) for figure, _ in SCALE_SERIES}
+    for figure, arch in sorted(set(by_series) - expected, key=str):
+        err(path, f"unexpected scale series {figure}/{arch}")
+
+    for figure, unit in SCALE_SERIES:
+        name = f"{figure}/{SCALE_ARCH}"
+        recs = by_series.get((figure, SCALE_ARCH))
         if not recs:
-            err(path, f"missing scale series {figure}/{arch}")
+            err(path, f"missing scale series {name}")
             continue
         have = sorted(r.get("clients") for r in recs)
         if have != points:
-            err(path, f"series {figure}/{arch} covers points {have}, "
+            err(path, f"series {name} covers points {have}, "
                       f"expected {points}")
         for r in recs:
             if r.get("unit") != unit:
-                err(path, f"series {figure}/{arch} unit "
+                err(path, f"series {name} unit "
                           f"{r.get('unit')!r}, expected {unit!r}")
-            if figure in ("rate", "core_rate", "speedup", "stack_speedup",
-                          "peak_concurrency", "events_per_wall_s"):
+            if figure in SCALE_POSITIVE:
                 v = r.get("value")
                 if isinstance(v, (int, float)) and v <= 0:
-                    err(path, f"series {figure}/{arch} point "
+                    err(path, f"series {name} point "
                               f"{r.get('clients')} is non-positive ({v})")
 
     big = max(points)
     if big >= 1000:
         peaks = [r.get("value")
-                 for r in by_series.get(("peak_concurrency", "scale-core"), [])
+                 for r in by_series.get(("peak_concurrency", SCALE_ARCH), [])
                  if r.get("clients") == big]
         if peaks and isinstance(peaks[0], (int, float)) and peaks[0] < 1000:
             err(path, f"point {big} peak_concurrency {peaks[0]} < 1000 — "
