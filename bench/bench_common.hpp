@@ -25,13 +25,14 @@ inline bool flag_present(int argc, char** argv, const char* flag) {
   return false;
 }
 
+/// The value of `--key=value` or `--key value`.
 inline const char* arg_value(int argc, char** argv, const char* key,
                              const char* fallback) {
   const size_t klen = std::strlen(key);
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, klen) == 0 && argv[i][klen] == '=') {
-      return argv[i] + klen + 1;
-    }
+    if (std::strncmp(argv[i], key, klen) != 0) continue;
+    if (argv[i][klen] == '=') return argv[i] + klen + 1;
+    if (argv[i][klen] == '\0' && i + 1 < argc) return argv[i + 1];
   }
   return fallback;
 }
@@ -95,7 +96,7 @@ inline std::vector<uint32_t> client_sweep(bool quick) {
 /// Validate with tools/check_metrics_schema.py.
 ///
 /// The output directory resolves in priority order: the `out_dir`
-/// constructor argument (benches pass their `--out-dir=` flag through),
+/// constructor argument (benches pass their `--out-dir` flag through),
 /// then the DPNFS_BENCH_DIR environment variable, then the working
 /// directory — so ctest smoke runs can land JSON in the source tree no
 /// matter where the binary runs.
