@@ -26,16 +26,14 @@ using sim::Task;
 Span make_span(uint64_t trace, uint64_t id, uint64_t parent, SpanKind kind,
                const char* name, const char* node, int64_t start,
                int64_t end) {
-  Span s;
-  s.trace_id = trace;
-  s.span_id = id;
-  s.parent_span_id = parent;
-  s.kind = kind;
-  s.name = name;
-  s.node = node;
-  s.start = start;
-  s.end = end;
-  return s;
+  return Span{.trace_id = trace,
+              .span_id = id,
+              .parent_span_id = parent,
+              .kind = kind,
+              .name = name,
+              .node = node,
+              .start = start,
+              .end = end};
 }
 
 // ---------------------------------------------------------------------------

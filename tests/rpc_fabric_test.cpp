@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "rpc/fabric.hpp"
@@ -76,7 +78,9 @@ TEST(RpcFabric, ManyConcurrentCallsAllComplete) {
   RpcClient client(f.fabric, client_node, "tester@SIM");
   std::vector<std::string> done;
   for (int i = 0; i < 50; ++i) {
-    f.sim.spawn(do_echo_call(client, server.address(), "m" + std::to_string(i),
+    std::string msg = "m";
+    msg += std::to_string(i);
+    f.sim.spawn(do_echo_call(client, server.address(), std::move(msg),
                              static_cast<uint32_t>(i), done));
   }
   f.sim.run();
