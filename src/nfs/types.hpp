@@ -119,7 +119,8 @@ enum class StableHow : uint32_t {
   kFileSync = 2,
 };
 
-/// NFSv4.1 operation numbers (RFC 5661 §16.2; real values).
+/// NFSv4.1 operation numbers (RFC 5661 §16.2; real values), plus two
+/// vendor operations.
 enum class OpCode : uint32_t {
   kClose = 4,
   kCommit = 5,
@@ -148,10 +149,11 @@ enum class OpCode : uint32_t {
   kSequence = 53,
   // Vectored (list) I/O extensions: one operation carrying many
   // (offset, length) regions backed by a single scatter-gather payload.
-  // Not in RFC 5661/7862 — numbered above the standard range so they can
-  // never collide with a real NFSv4.x assignment.
-  kReadv = 70,
-  kWritev = 71,
+  // No NFSv4.x RFC defines them.  The RFCs assign 3-58 (RFC 5661), 59-71
+  // (RFC 7862, e.g. 64 LAYOUTERROR, 70 WRITE_SAME, 71 CLONE), 72-75
+  // (RFC 8276) and 10044 (OP_ILLEGAL), so these sit far above all of them.
+  kReadv = 0x8000,
+  kWritev = 0x8001,
 };
 
 const char* opcode_name(OpCode op);

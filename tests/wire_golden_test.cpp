@@ -23,6 +23,60 @@ std::string hex(const std::vector<std::byte>& buf) {
   return out;
 }
 
+// Every NFSv4.1 operation the simulator speaks, with its number and name
+// from the RFC 5661 §16.2 operation table (RFC 8881 §18 keeps them).
+struct RfcOp {
+  nfs::OpCode op;
+  uint32_t number;
+  const char* name;
+};
+constexpr RfcOp kRfcOps[] = {
+    {nfs::OpCode::kClose, 4, "CLOSE"},
+    {nfs::OpCode::kCommit, 5, "COMMIT"},
+    {nfs::OpCode::kCreate, 6, "CREATE"},
+    {nfs::OpCode::kGetattr, 9, "GETATTR"},
+    {nfs::OpCode::kGetFh, 10, "GETFH"},
+    {nfs::OpCode::kLookup, 15, "LOOKUP"},
+    {nfs::OpCode::kOpen, 18, "OPEN"},
+    {nfs::OpCode::kPutFh, 22, "PUTFH"},
+    {nfs::OpCode::kPutRootFh, 24, "PUTROOTFH"},
+    {nfs::OpCode::kRead, 25, "READ"},
+    {nfs::OpCode::kReaddir, 26, "READDIR"},
+    {nfs::OpCode::kRemove, 28, "REMOVE"},
+    {nfs::OpCode::kRename, 29, "RENAME"},
+    {nfs::OpCode::kRestoreFh, 31, "RESTOREFH"},
+    {nfs::OpCode::kSaveFh, 32, "SAVEFH"},
+    {nfs::OpCode::kSetattr, 34, "SETATTR"},
+    {nfs::OpCode::kWrite, 38, "WRITE"},
+    {nfs::OpCode::kExchangeId, 42, "EXCHANGE_ID"},
+    {nfs::OpCode::kCreateSession, 43, "CREATE_SESSION"},
+    {nfs::OpCode::kGetDeviceInfo, 47, "GETDEVICEINFO"},
+    {nfs::OpCode::kGetDeviceList, 48, "GETDEVICELIST"},
+    {nfs::OpCode::kLayoutCommit, 49, "LAYOUTCOMMIT"},
+    {nfs::OpCode::kLayoutGet, 50, "LAYOUTGET"},
+    {nfs::OpCode::kLayoutReturn, 51, "LAYOUTRETURN"},
+    {nfs::OpCode::kSequence, 53, "SEQUENCE"},
+};
+
+TEST(WireGolden, OpCodesMatchTheRfcTable) {
+  for (const RfcOp& r : kRfcOps) {
+    EXPECT_EQ(static_cast<uint32_t>(r.op), r.number) << r.name;
+    EXPECT_STREQ(nfs::opcode_name(r.op), r.name);
+  }
+}
+
+TEST(WireGolden, VendorOpCodesAvoidEveryRfcNumber) {
+  // RFC 5661 assigns 3-58, RFC 7862 59-71 and RFC 8276 72-75; 10044 is
+  // OP_ILLEGAL.  The list-I/O vendor operations take none of them.
+  EXPECT_EQ(static_cast<uint32_t>(nfs::OpCode::kReadv), 0x8000u);
+  EXPECT_EQ(static_cast<uint32_t>(nfs::OpCode::kWritev), 0x8001u);
+  for (nfs::OpCode op : {nfs::OpCode::kReadv, nfs::OpCode::kWritev}) {
+    const uint32_t n = static_cast<uint32_t>(op);
+    EXPECT_TRUE(n < 3 || n > 75) << nfs::opcode_name(op);
+    EXPECT_NE(n, 10044u) << nfs::opcode_name(op);
+  }
+}
+
 TEST(WireGolden, CallHeader) {
   rpc::XdrEncoder enc;
   rpc::CallHeader{0x2A, 100003, 4, 1, 7, 9, 0, "ab"}.encode(enc);
@@ -105,8 +159,9 @@ TEST(WireGolden, SequencePutFhReadCompound) {
 }
 
 TEST(WireGolden, SequencePutFhReadvCompound) {
-  // Two or more regions switch the op to READV (70, above the RFC range);
-  // the 1-element case stays byte-identical to the classic READ pin above.
+  // Two or more regions switch the op to READV (0x8000, a vendor number no
+  // RFC assigns); the 1-element case stays byte-identical to the classic
+  // READ pin above.
   nfs::ReadArgs readv{nfs::Stateid{7}, {{0x1000, 0x800}, {0x5000, 0x800}}};
   EXPECT_EQ(readv.opcode(), nfs::OpCode::kReadv);
   nfs::CompoundBuilder b;
@@ -121,7 +176,7 @@ TEST(WireGolden, SequencePutFhReadvCompound) {
             "00000000"          // slot 0
             "00000016"          // PUTFH (22)
             "000000000000beef"  // filehandle
-            "00000046"          // READV (70)
+            "00008000"          // READV (0x8000)
             "0000000000000007"  // stateid 7
             "00000002"          // 2 regions
             "0000000000001000"  // region 0 offset
