@@ -28,7 +28,6 @@ constexpr uint32_t kRecordBytes = 512;
 struct CaseResult {
   double mbps = 0;
   uint64_t write_rpcs = 0;
-  std::string metrics_json;
 };
 
 CaseResult run_case(bool listio, uint32_t clients, uint32_t records,
@@ -57,7 +56,6 @@ CaseResult run_case(bool listio, uint32_t clients, uint32_t records,
 
   CaseResult out;
   out.mbps = r.aggregate_mbps();
-  out.metrics_json = r.metrics_json;
   for (uint32_t i = 0; i < clients; ++i) {
     const auto* c = d.metrics().find_counter("client" + std::to_string(i),
                                              "client.sched",
@@ -113,10 +111,9 @@ int main(int argc, char** argv) {
     on_mbps.values.push_back(on.mbps);
     off_mbps.values.push_back(off.mbps);
     factor.values.push_back(reduction);
-    rec.add("listio-on", "direct-pnfs", n, on.mbps, "MB/s", on.metrics_json);
-    rec.add("listio-off", "direct-pnfs", n, off.mbps, "MB/s",
-            off.metrics_json);
-    rec.add("write-rpc-reduction", "direct-pnfs", n, reduction, "x", "");
+    rec.add("listio-on", "direct-pnfs", n, on.mbps, "MB/s");
+    rec.add("listio-off", "direct-pnfs", n, off.mbps, "MB/s");
+    rec.add("write-rpc-reduction", "direct-pnfs", n, reduction, "x");
     if (reduction < 4.0) {
       std::fprintf(stderr,
                    "FAIL: %u clients: %llu WRITEs with listio vs %llu "

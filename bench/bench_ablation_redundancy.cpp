@@ -51,12 +51,7 @@ core::ClusterConfig scheme_config(pvfs::DistKind kind, uint32_t clients) {
   return cfg;
 }
 
-struct WriteResult {
-  double mbps = 0;
-  std::string metrics_json;
-};
-
-WriteResult run_write(pvfs::DistKind kind, uint32_t clients, uint64_t bytes) {
+double run_write(pvfs::DistKind kind, uint32_t clients, uint64_t bytes) {
   core::ClusterConfig cfg = scheme_config(kind, clients);
   workload::IorConfig icfg;
   icfg.write = true;
@@ -64,8 +59,7 @@ WriteResult run_write(pvfs::DistKind kind, uint32_t clients, uint64_t bytes) {
   icfg.block_size = 2 * kChunk;
   workload::IorWorkload w(icfg);
   core::Deployment d(cfg);
-  const workload::RunResult r = run_workload(d, w);
-  return {r.aggregate_mbps(), r.metrics_json};
+  return run_workload(d, w).aggregate_mbps();
 }
 
 Payload pattern(uint64_t base, uint64_t length) {
@@ -82,7 +76,6 @@ struct ReadResult {
   bool data_ok = false;
   bool population_done = false;
   uint64_t mds_fallbacks = 0;
-  std::string metrics_json;
 };
 
 Task<void> populate_one(core::Deployment& d, size_t i, uint64_t bytes) {
@@ -176,7 +169,6 @@ ReadResult run_degraded_read(pvfs::DistKind kind, uint32_t clients,
     res.mbps = static_cast<double>(bytes) * clients /
                (static_cast<double>(read_ns) / 1e9) / 1e6;
   }
-  res.metrics_json = d.metrics_json();
   return res;
 }
 
@@ -211,10 +203,10 @@ int main(int argc, char** argv) {
   for (size_t row = 0; row < clients.size(); ++row) {
     const uint32_t n = clients[row];
     for (size_t k = 0; k < 3; ++k) {
-      const WriteResult w = run_write(kinds[k], n, bytes);
-      write_series[k].values.push_back(w.mbps);
+      const double mbps = run_write(kinds[k], n, bytes);
+      write_series[k].values.push_back(mbps);
       rec.add(std::string("write-") + scheme_name(kinds[k]), "direct-pnfs", n,
-              w.mbps, "MB/s", w.metrics_json);
+              mbps, "MB/s");
     }
     size_t col = 0;
     for (pvfs::DistKind kind : {pvfs::DistKind::kMirror,
@@ -224,7 +216,7 @@ int main(int argc, char** argv) {
         read_series[col].values.push_back(r.mbps);
         rec.add(std::string(kill ? "degraded-read-" : "healthy-read-") +
                     scheme_name(kind),
-                "direct-pnfs", n, r.mbps, "MB/s", r.metrics_json);
+                "direct-pnfs", n, r.mbps, "MB/s");
         if (!r.population_done) {
           std::fprintf(stderr, "FAIL: %s %u clients: population overran the "
                        "scripted kill time\n", scheme_name(kind), n);

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -90,42 +89,31 @@ inline std::vector<uint32_t> client_sweep(bool quick) {
 }
 
 /// Accumulates one record per data point and writes `BENCH_<name>.json`
-/// beside the bench's table output.  Each record carries the run's full
-/// observability export (Deployment::metrics_json), so the JSON explains
-/// the table: per-storage-node bytes, RPC counts, trace hop statistics.
-/// Validate with tools/check_metrics_schema.py.
-///
-/// The output directory resolves in priority order: the `out_dir`
-/// constructor argument (benches pass their `--out-dir` flag through),
-/// then the DPNFS_BENCH_DIR environment variable, then the working
-/// directory — so ctest smoke runs can land JSON in the source tree no
-/// matter where the binary runs.
+/// beside the bench's table output, into `out_dir` (the bench's `--out-dir`
+/// flag) or else the working directory.  A record holds only what
+/// tools/check_bench_delta.py compares: the point (figure, architecture,
+/// clients), its value and unit, and `"host": true` on wall-clock series,
+/// which the gate skips.  The run's full metrics document is
+/// `simulate --metrics-out`'s job (docs/observability.md).
 class BenchRecorder {
  public:
   explicit BenchRecorder(std::string bench_name, std::string out_dir = "")
-      : name_(std::move(bench_name)), out_dir_(std::move(out_dir)) {
-    if (out_dir_.empty()) {
-      if (const char* env = std::getenv("DPNFS_BENCH_DIR");
-          env != nullptr && env[0] != '\0') {
-        out_dir_ = env;
-      }
-    }
-  }
+      : name_(std::move(bench_name)), out_dir_(std::move(out_dir)) {}
   ~BenchRecorder() { flush(); }
   BenchRecorder(const BenchRecorder&) = delete;
   BenchRecorder& operator=(const BenchRecorder&) = delete;
 
   void add(const std::string& figure, const std::string& architecture,
            uint32_t clients, double value, const std::string& unit,
-           const std::string& metrics_json) {
+           bool host = false) {
     char num[64];
     std::snprintf(num, sizeof num, "%.6g", value);
     std::string rec = "{\"figure\":\"" + obs::json_escape(figure) +
                       "\",\"architecture\":\"" + obs::json_escape(architecture) +
                       "\",\"clients\":" + std::to_string(clients) +
                       ",\"value\":" + num + ",\"unit\":\"" +
-                      obs::json_escape(unit) + "\",\"metrics\":" +
-                      (metrics_json.empty() ? "{}" : metrics_json) + "}";
+                      obs::json_escape(unit) + "\"" +
+                      (host ? ",\"host\":true}" : "}");
     records_.push_back(std::move(rec));
   }
 

@@ -32,7 +32,7 @@ void sweep(BenchRecorder& rec, const char* title, const char* figure,
       workload::IorWorkload w(ior);
       const workload::RunResult r = run_workload(d, w);
       s.values.push_back(r.aggregate_mbps());
-      rec.add(figure, s.label, n, r.aggregate_mbps(), "MB/s", r.metrics_json);
+      rec.add(figure, s.label, n, r.aggregate_mbps(), "MB/s");
     }
     series.push_back(std::move(s));
   }

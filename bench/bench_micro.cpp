@@ -2,16 +2,8 @@
 // codecs, interval sets, the sparse range buffer, the simulation kernel's
 // event throughput, and the observability hot-path primitives.  These bound
 // how large a simulated experiment can be before wall-clock time matters.
-//
-// `--metrics-smoke[=path]` skips the benchmarks and instead runs a tiny
-// deployment to emit one RunResult::metrics_json document (default
-// BENCH_micro_metrics.json) — tools/check_metrics_schema.py validates it
-// from ctest.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-
-#include "core/deployment.hpp"
 #include "nfs/layout.hpp"
 #include "nfs/ops.hpp"
 #include "rpc/xdr.hpp"
@@ -21,7 +13,6 @@
 #include "util/obs.hpp"
 #include "util/range_buffer.hpp"
 #include "util/rng.hpp"
-#include "workload/ior.hpp"
 
 namespace {
 
@@ -173,43 +164,6 @@ void BM_ObsHistogramObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsHistogramObserve);
 
-/// Runs a miniature Direct-pNFS IOR write and dumps the full metrics
-/// export for schema validation.
-int metrics_smoke(const char* path) {
-  core::ClusterConfig cfg;
-  cfg.architecture = core::Architecture::kDirectPnfs;
-  cfg.storage_nodes = 3;
-  cfg.clients = 2;
-  core::Deployment d(cfg);
-  workload::IorConfig ior;
-  ior.write = true;
-  ior.bytes_per_client = 16ull << 20;
-  workload::IorWorkload w(ior);
-  const workload::RunResult r = run_workload(d, w);
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  std::fprintf(f, "%s\n", r.metrics_json.c_str());
-  std::fclose(f);
-  std::printf("wrote %s (%.1f MB/s)\n", path, r.aggregate_mbps());
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--metrics-smoke", 15) == 0) {
-      const char* eq = std::strchr(argv[i], '=');
-      return metrics_smoke(eq != nullptr ? eq + 1
-                                         : "BENCH_micro_metrics.json");
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

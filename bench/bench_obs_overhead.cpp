@@ -4,20 +4,19 @@
 //   sampled  rate 0.01 + tail promotion (the recommended production mode)
 //   always   rate 1.0 (every span retained, the pre-sampling default)
 //
-// Two contracts are checked, not just measured:
+// Contracts are checked, not just measured (any breach exits 1):
 //   1. Exact aggregates are sampling-independent: traces_started,
 //      rpc_hops_total, spans_recorded and the per-op SLO request counts
 //      must be bit-identical across all three modes (the simulation is
-//      deterministic, so any drift means sampling perturbed accounting —
-//      the bench exits 1).
+//      deterministic, so any drift means sampling perturbed accounting).
 //   2. Sampling makes detail cheap: the "rate-ratio" figure records each
-//      mode's wall-clock throughput as a percentage of tracing-off.
-//      Sampled should sit within a few percent of off; always-on pays the
-//      full span-retention cost.
+//      mode's wall-clock throughput as a percentage of tracing-off, and no
+//      mode may fall below 50% of it.  Sampled should sit within a few
+//      percent of off; always-on pays the full span-retention cost.
 //
-// Wall-clock numbers are host-noise-sensitive, so the delta gate for this
-// bench runs with a loose threshold (see bench/CMakeLists.txt); the
-// sim-time "goodput" figure is deterministic and gated tightly.
+// The rate-ratio records carry the host mark, so the exact delta gate
+// (tools/check_bench_delta.py) skips them and only the floor above guards
+// them; the sim-time "goodput" figure is deterministic and gated exactly.
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -51,7 +50,6 @@ struct ModeResult {
   uint64_t rpc_hops = 0;
   uint64_t spans_recorded = 0;
   uint64_t slo_requests = 0;
-  std::string metrics_json;
   // Tenant-mode contract: per-tenant rows sum exactly to the ledger totals,
   // and the totals match the aggregate rpc.* counters.
   bool tenant_sums_exact = true;
@@ -92,7 +90,6 @@ void run_once(const Mode& m, uint32_t clients, uint32_t txns_per_client,
     (void)op;
     out.slo_requests += slo.requests;
   }
-  out.metrics_json = r.metrics_json;
 
   if (m.tenants != 0) {
     const obs::TenantLedger& ledger = d.tenant_ledger();
@@ -169,8 +166,7 @@ int main(int argc, char** argv) {
         " hops=%" PRIu64 " spans=%" PRIu64 "\n",
         modes[i].name, r.sim_mbps, r.best_seconds, reps, r.traces_started,
         r.rpc_hops, r.spans_recorded);
-    rec.add("goodput", modes[i].name, clients, r.sim_mbps, "MB/s",
-            r.metrics_json);
+    rec.add("goodput", modes[i].name, clients, r.sim_mbps, "MB/s");
   }
 
   // Contract 1: sampling must not perturb exact aggregates.  The tenants
@@ -210,7 +206,9 @@ int main(int argc, char** argv) {
   std::printf("  per-tenant sums match ledger totals and rpc aggregates\n");
 
   // Contract 2: wall-clock throughput relative to tracing-off (percent),
-  // from each mode's fastest repetition.
+  // from each mode's fastest repetition, floored at half of tracing-off.
+  constexpr double kRateFloorPct = 50.0;
+  bool rate_ok = true;
   const double off_rate =
       static_cast<double>(off.app_bytes) / off.best_seconds;
   for (size_t i = 1; i < results.size(); ++i) {
@@ -220,9 +218,16 @@ int main(int argc, char** argv) {
     std::printf("  [%-7s] wall-clock throughput = %.1f%% of tracing-off\n",
                 modes[i].name, pct);
     rec.add("rate-ratio", std::string(modes[i].name) + "-vs-off", clients, pct,
-            "percent", "");
+            "percent", /*host=*/true);
+    if (pct < kRateFloorPct) {
+      std::fprintf(stderr,
+                   "FAIL: mode '%s' runs at %.1f%% of tracing-off wall-clock "
+                   "throughput (floor %.0f%%)\n",
+                   modes[i].name, pct, kRateFloorPct);
+      rate_ok = false;
+    }
   }
 
   rec.flush();
-  return 0;
+  return rate_ok ? 0 : 1;
 }

@@ -87,9 +87,6 @@ RunResult run_workload(core::Deployment& d, Workload& w) {
     throw std::runtime_error("workload '" + w.name() +
                              "' deadlocked: simulation drained early");
   }
-  result.metrics_json = d.metrics_json();
-  result.breakdown_json = obs::analyze_all(d.tracer()).to_json(
-      core::architecture_name(d.architecture()));
   util::logf(util::LogLevel::kInfo, "runner", d.simulation().now(),
              "%s on %s: %.3fs, %.1f MB/s", w.name().c_str(),
              core::architecture_name(d.architecture()), result.elapsed_seconds,

@@ -14,16 +14,6 @@ struct RunResult {
   double elapsed_seconds = 0;
   uint64_t app_bytes = 0;      ///< application-level bytes moved while timed
   uint64_t transactions = 0;
-  /// Full observability export (Deployment::metrics_json) taken when the
-  /// run finished: per-node metrics plus the RPC trace aggregate.
-  std::string metrics_json;
-  /// Critical-path latency attribution over every retained trace
-  /// (obs::BreakdownReport::to_json): exclusive per-phase nanoseconds —
-  /// client queue, request wire, server queue, service CPU, disk, reply
-  /// wire — totalled and split per op.
-  std::string breakdown_json;
-
-  const std::string& latency_breakdown_json() const { return breakdown_json; }
 
   /// Decimal MB/s, the paper's unit.
   double aggregate_mbps() const {

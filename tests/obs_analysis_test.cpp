@@ -323,7 +323,7 @@ TEST(Sampling, SamplerRecordsUtilizationSeries) {
   ior.write = true;
   ior.bytes_per_client = 8'000'000;
   workload::IorWorkload w(ior);
-  const workload::RunResult r = run_workload(d, w);
+  run_workload(d, w);
 
   EXPECT_FALSE(d.samples().empty());
   bool saw_nic = false, saw_disk = false;
@@ -338,8 +338,9 @@ TEST(Sampling, SamplerRecordsUtilizationSeries) {
   }
   EXPECT_TRUE(saw_nic);
   EXPECT_TRUE(saw_disk);
-  EXPECT_NE(r.metrics_json.find("\"timeseries\""), std::string::npos);
-  EXPECT_NE(r.latency_breakdown_json().find("\"phases_ns\""),
+  EXPECT_NE(d.metrics_json().find("\"timeseries\""), std::string::npos);
+  EXPECT_NE(obs::analyze_all(d.tracer()).to_json("Direct-pNFS").find(
+                "\"phases_ns\""),
             std::string::npos);
 }
 
@@ -351,9 +352,9 @@ TEST(Sampling, DisabledIntervalRecordsNothing) {
   ior.write = true;
   ior.bytes_per_client = 2'000'000;
   workload::IorWorkload w(ior);
-  const workload::RunResult r = run_workload(d, w);
+  run_workload(d, w);
   EXPECT_TRUE(d.samples().empty());
-  EXPECT_EQ(r.metrics_json.find("\"timeseries\""), std::string::npos);
+  EXPECT_EQ(d.metrics_json().find("\"timeseries\""), std::string::npos);
 }
 
 }  // namespace

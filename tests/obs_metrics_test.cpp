@@ -329,16 +329,15 @@ TEST(Deployment, MetricsJsonCarriesPerStorageNodeBytes) {
   ior.write = true;
   ior.bytes_per_client = 12ull << 20;  // 2 MB stripes over 3 nodes: all hit
   workload::IorWorkload w(ior);
-  const workload::RunResult r = workload::run_workload(d, w);
-  EXPECT_FALSE(r.metrics_json.empty());
-  EXPECT_NE(r.metrics_json.find("\"architecture\":\"Direct-pNFS\""),
-            std::string::npos);
+  workload::run_workload(d, w);
+  const std::string json = d.metrics_json();
+  EXPECT_FALSE(json.empty());
+  EXPECT_NE(json.find("\"architecture\":\"Direct-pNFS\""), std::string::npos);
   // Every storage node reports its resource gauges in the export.
   for (const char* node : {"storage0", "storage1", "storage2"}) {
-    EXPECT_NE(r.metrics_json.find(std::string("\"") + node + "\""),
-              std::string::npos);
+    EXPECT_NE(json.find(std::string("\"") + node + "\""), std::string::npos);
   }
-  EXPECT_NE(r.metrics_json.find("\"disk_write_bytes\""), std::string::npos);
+  EXPECT_NE(json.find("\"disk_write_bytes\""), std::string::npos);
   // And the snapshot gauges saw the bytes the data path moved, even though
   // Direct-pNFS bypasses the PVFS I/O daemons.
   for (const char* node : {"storage0", "storage1", "storage2"}) {

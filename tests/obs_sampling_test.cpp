@@ -422,15 +422,15 @@ TEST(Deployment, MetricsJsonCarriesSloSection) {
   ior.write = true;
   ior.bytes_per_client = 8ull << 20;
   workload::IorWorkload w(ior);
-  const workload::RunResult r = workload::run_workload(d, w);
-  EXPECT_NE(r.metrics_json.find("\"slo\":"), std::string::npos);
-  EXPECT_NE(r.metrics_json.find("\"per_op\""), std::string::npos);
-  EXPECT_NE(r.metrics_json.find("\"latency_us\""), std::string::npos);
-  EXPECT_NE(r.metrics_json.find("\"traces_sampled\""), std::string::npos);
-  EXPECT_NE(r.metrics_json.find("\"traces_promoted\""), std::string::npos);
-  EXPECT_NE(r.metrics_json.find("\"hop_histogram_complete\""),
-            std::string::npos);
-  EXPECT_NE(r.metrics_json.find("\"digests\""), std::string::npos);
+  workload::run_workload(d, w);
+  const std::string json = d.metrics_json();
+  EXPECT_NE(json.find("\"slo\":"), std::string::npos);
+  EXPECT_NE(json.find("\"per_op\""), std::string::npos);
+  EXPECT_NE(json.find("\"latency_us\""), std::string::npos);
+  EXPECT_NE(json.find("\"traces_sampled\""), std::string::npos);
+  EXPECT_NE(json.find("\"traces_promoted\""), std::string::npos);
+  EXPECT_NE(json.find("\"hop_histogram_complete\""), std::string::npos);
+  EXPECT_NE(json.find("\"digests\""), std::string::npos);
   // The rpc service-time digest rode along with the histograms.
   const util::PercentileDigest* svc =
       d.metrics().find_digest("storage0", "rpc", "service_us");

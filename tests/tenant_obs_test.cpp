@@ -31,8 +31,8 @@ void run_tenanted(core::ClusterConfig cfg, std::string* metrics_json = nullptr) 
   children.push_back(std::make_unique<workload::OltpWorkload>(oltp));
   workload::TenantMixWorkload w(std::move(children));
   core::Deployment d(cfg);
-  const workload::RunResult r = workload::run_workload(d, w);
-  if (metrics_json != nullptr) *metrics_json = r.metrics_json;
+  workload::run_workload(d, w);
+  if (metrics_json != nullptr) *metrics_json = d.metrics_json();
   const obs::TenantLedger& ledger = d.tenant_ledger();
   const obs::TenantStats& total = ledger.total();
 
@@ -175,8 +175,10 @@ TEST(TenantMixWorkload, ComposesChildren) {
 // Flight recorder under a restart fault
 // ---------------------------------------------------------------------------
 
-std::string run_restart_flight(std::string* metrics_json = nullptr) {
+std::string run_restart_flight(std::string* metrics_json = nullptr,
+                               sim::Duration sample_interval = sim::ms(100)) {
   core::ClusterConfig cfg;
+  cfg.sample_interval = sample_interval;
   cfg.architecture = core::Architecture::kDirectPnfs;
   cfg.storage_nodes = 3;
   cfg.clients = 3;
@@ -213,6 +215,17 @@ TEST(FlightRecorder, RestartDumpIsBitReproducible) {
   // Health section exists and every node resolved to a named state.
   EXPECT_NE(metrics.find("\"health\":"), std::string::npos);
   EXPECT_NE(metrics.find("\"state\":"), std::string::npos);
+}
+
+TEST(FlightRecorder, FirstExportReportsARestartNoSamplerTickSaw) {
+  // With the sampler off, nothing judges health during the run, so the
+  // first metrics export after it is the first to see storage0's restart.
+  std::string metrics;
+  run_restart_flight(&metrics, 0);
+  EXPECT_NE(metrics.find("\"storage0\":{\"state\":\"critical\","
+                         "\"reason\":\"service restarts +1\"}"),
+            std::string::npos)
+      << metrics.substr(metrics.find("\"health\":"), 400);
 }
 
 TEST(FlightRecorder, RingDropsOldestAndCountsThem) {

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Guard bench throughput against silent regressions.
+"""Gate a bench's deterministic series exactly against its baseline.
 
 Compares a freshly produced BENCH_*.json recorder file (see
-tools/check_metrics_schema.py for the shape) against a committed baseline
-from the same smoke sweep and fails when any (figure, architecture, clients)
-series point regresses by more than the threshold.  Values are throughputs
-(MB/s): higher is better, so only downward moves fail.  Improvements and
-new series points are reported but never fatal — refresh the baseline
-(copy the new BENCH file over tools/bench_baselines/) when a change moves
-the numbers on purpose.
+tools/check_metrics_schema.py for the shape) against the committed baseline
+from the same smoke sweep.  Every (figure, architecture, clients) point
+that is not marked `"host": true` must carry the same value, as recorded
+(`%.6g`), and the same unit.  A point that moves up or down, goes missing
+or appears fails, one line per point.  Host records hold wall-clock
+figures that follow the machine's load; their values are not compared.
+
+A change that moves numbers on purpose copies the new BENCH file over
+tools/bench_baselines/ and names the moved points in CHANGES.md.
 
 Usage:
-  check_bench_delta.py FRESH.json BASELINE.json [--threshold 0.20]
+  check_bench_delta.py FRESH.json BASELINE.json
 """
 
 import json
@@ -26,58 +28,57 @@ def load_records(filename):
         sys.exit(f"{filename}: unreadable or not JSON: {e}")
     if not isinstance(doc, dict) or "records" not in doc:
         sys.exit(f"{filename}: not a bench recorder file (no 'records')")
-    out = {}
-    for rec in doc["records"]:
-        key = (rec.get("figure"), rec.get("architecture"), rec.get("clients"))
-        out[key] = (float(rec.get("value", 0.0)), rec.get("unit", ""))
-    return out
+    return {(r.get("figure"), r.get("architecture"), r.get("clients")): r
+            for r in doc["records"]}
+
+
+def show(rec):
+    if rec is None:
+        return "missing"
+    suffix = " (host)" if rec.get("host") else ""
+    return f"{rec.get('value')} {rec.get('unit')}{suffix}"
+
+
+def moved(old, new):
+    """Why the point fails the gate, or None when it holds."""
+    if old is None or new is None:
+        return "missing" if new is None else "new"
+    if old.get("unit") != new.get("unit"):
+        return "unit changed"
+    if bool(old.get("host")) != bool(new.get("host")):
+        return "host mark changed"
+    if old.get("host") or old.get("value") == new.get("value"):
+        return None
+    try:
+        return f"{100 * (new['value'] - old['value']) / old['value']:+.3g}%"
+    except (TypeError, ZeroDivisionError):
+        return "changed"
 
 
 def main(argv):
-    args = [a for a in argv[1:] if not a.startswith("--")]
-    threshold = 0.20
-    for a in argv[1:]:
-        if a.startswith("--threshold"):
-            threshold = float(a.split("=", 1)[1]) if "=" in a else threshold
-    if len(args) != 2:
+    if len(argv) != 3:
         sys.exit(__doc__)
-    fresh_file, base_file = args
+    fresh_file, base_file = argv[1:]
     fresh = load_records(fresh_file)
     base = load_records(base_file)
 
     failures = []
-    print(f"{'figure':8} {'architecture':14} {'clients':>7} "
-          f"{'baseline':>10} {'fresh':>10} {'delta':>8}")
-    for key in sorted(base, key=lambda k: (str(k[0]), str(k[1]), k[2] or 0)):
-        figure, arch, clients = key
-        base_val, unit = base[key]
-        if key not in fresh:
-            print(f"{figure:8} {arch:14} {clients:>7} {base_val:>10.2f} "
-                  f"{'MISSING':>10}")
-            failures.append(f"{figure}/{arch}/{clients}: missing from "
-                            f"{fresh_file}")
-            continue
-        fresh_val, _ = fresh[key]
-        delta = (fresh_val - base_val) / base_val if base_val > 0 else 0.0
-        mark = ""
-        if base_val > 0 and fresh_val < base_val * (1.0 - threshold):
-            mark = "  << REGRESSION"
-            failures.append(f"{figure}/{arch}/{clients}: {base_val:.2f} -> "
-                            f"{fresh_val:.2f} {unit} ({delta:+.1%})")
-        print(f"{figure:8} {arch:14} {clients:>7} {base_val:>10.2f} "
-              f"{fresh_val:>10.2f} {delta:>+7.1%}{mark}")
-    for key in sorted(set(fresh) - set(base),
-                      key=lambda k: (str(k[0]), str(k[1]), k[2] or 0)):
-        print(f"{key[0]:8} {key[1]:14} {key[2]:>7} {'(new)':>10} "
-              f"{fresh[key][0]:>10.2f}")
-
+    for key in sorted(set(base) | set(fresh), key=str):
+        why = moved(base.get(key), fresh.get(key))
+        if why is not None:
+            figure, arch, clients = key
+            failures.append(f"{figure}/{arch}/{clients}: "
+                            f"{show(base.get(key))} -> "
+                            f"{show(fresh.get(key))} ({why})")
     if failures:
-        print(f"\n{len(failures)} series point(s) regressed more than "
-              f"{threshold:.0%} vs {base_file}:", file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
+        print(f"{len(failures)} point(s) differ from {base_file}:",
+              file=sys.stderr)
+        for line in failures:
+            print(f"  {line}", file=sys.stderr)
         return 1
-    print(f"\nOK: no series point regressed more than {threshold:.0%}.")
+    gated = sum(1 for r in base.values() if not r.get("host"))
+    print(f"OK: {gated} point(s) equal the baseline exactly "
+          f"({len(base) - gated} host point(s) not compared).")
     return 0
 
 

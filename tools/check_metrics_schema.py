@@ -3,21 +3,23 @@
 
 Two document shapes are accepted (see docs/observability.md):
 
-  1. A RunResult::metrics_json export:
+  1. A Deployment::metrics_json export (`simulate --metrics-out`):
        {"architecture": str, "sim_time_ns": int,
         "nodes": {node: {component: {"counters": {...}, "gauges": {...},
                                      "histograms": {...}}}},
         "trace": {...aggregate...}}
 
-  2. A BENCH_*.json recorder file:
+  2. A BENCH_*.json recorder file, compact: each record holds exactly the
+     keys tools/check_bench_delta.py reads, and the file stays under 50 KB:
        {"bench": str, "records": [{"figure": str, "architecture": str,
                                    "clients": int, "value": num,
-                                   "unit": str, "metrics": <shape 1>}]}
+                                   "unit": str[, "host": true]}]}
 
 Usage:
   check_metrics_schema.py FILE.json [FILE2.json ...]
-  check_metrics_schema.py --run /path/to/bench_micro
-      (spawns `bench_micro --metrics-smoke=<tmp>` and validates the output)
+  check_metrics_schema.py --run /path/to/simulate
+      (runs the RECIPES below with --metrics-out=<tmp> and validates each
+       document)
 """
 
 import json
@@ -25,6 +27,35 @@ import os
 import subprocess
 import sys
 import tempfile
+
+# `--run` recipes: (name, simulate arguments, components some node must
+# export beyond those every document needs).  Together they produce every
+# document shape the simulator has: all five architectures, mirror and
+# erasure-coded kills, the background rebuild, vectored list I/O, and
+# tenants under sampling with an SLO.
+IOR = ["--workload=ior-write", "--clients=2", "--storage-nodes=3",
+       "--bytes=16777216"]
+KILL = ["--workload=ior-write", "--clients=2", "--bytes=4194304",
+        "--fault-ds-kill=1", "--fault-at-ms=50"]
+RECIPES = [
+    *((f"ior-write-{arch}", [f"--arch={arch}", *IOR], ())
+      for arch in ("direct", "pvfs", "2tier", "3tier", "nfs")),
+    ("mirror-kill", [*KILL, "--storage-nodes=4", "--redundancy=mirror"], ()),
+    ("ec-kill-rebuild", [*KILL, "--storage-nodes=7", "--stripe=262144",
+                         "--redundancy=ec", "--spares=1",
+                         "--rebuild-after-ms=300"], ("mds.rebuild",)),
+    ("strided-listio", ["--workload=strided", "--clients=4",
+                        "--storage-nodes=4", "--bytes=8388608"], ()),
+    ("oltp-tenants-sampled", ["--workload=oltp", "--clients=4", "--tenants=4",
+                              "--trace-sample-rate=0.01", "--slo-ms=20",
+                              "--txns=200", "--bytes=8388608"], ()),
+]
+
+# Keys of one BENCH record: the five check_bench_delta.py compares, plus the
+# optional host mark.  Anything else would let the files grow back.
+BENCH_RECORD_KEYS = {"figure": str, "architecture": str, "clients": int,
+                     "value": (int, float), "unit": str}
+BENCH_MAX_BYTES = 50 * 1024
 
 # Counters every client.recovery component must export (docs/failures.md).
 RECOVERY_COUNTERS = ("retries", "fallbacks", "breaker_trips")
@@ -59,6 +90,15 @@ SCHED_COUNTERS = ("dispatched_writes", "dispatched_bytes",
                   "vectored_writes", "vectored_regions", "vectored_bytes")
 SCHED_GAUGE_PREFIXES = ("queue_depth_", "queue_depth_peak_",
                         "window_inflight_")
+
+# Component -> the fixed counter set it must export.
+COUNTER_SETS = {
+    "client.recovery": RECOVERY_COUNTERS,
+    "client.replay": REPLAY_COUNTERS,
+    "client.redundancy": REDUNDANCY_COUNTERS,
+    "mds.rebuild": REBUILD_COUNTERS,
+    "client.sched": SCHED_COUNTERS,
+}
 
 TRACE_KEYS = {
     "traces_started": int,
@@ -153,40 +193,12 @@ def check_histogram(path, h):
             err(path, f"sum(counts)={sum(counts)} != count={h['count']}")
 
 
-def check_recovery_component(path, comp):
-    """The failure-recovery component has a fixed counter contract."""
+def check_counter_set(path, comp, component_name):
+    """A component with a fixed counter contract (COUNTER_SETS)."""
     counters = comp.get("counters", {})
     if not isinstance(counters, dict):
         return  # already reported by check_component
-    for name in RECOVERY_COUNTERS:
-        if name not in counters:
-            err(path, f"client.recovery missing counter '{name}'")
-        elif not isinstance(counters[name], int):
-            err(f"{path}.counters.{name}",
-                f"recovery counter should be int, got "
-                f"{type(counters[name]).__name__}")
-
-
-def check_replay_component(path, comp):
-    """Crash-recovery replay accounting has a fixed counter contract."""
-    counters = comp.get("counters", {})
-    if not isinstance(counters, dict):
-        return  # already reported by check_component
-    for name in REPLAY_COUNTERS:
-        if name not in counters:
-            err(path, f"client.replay missing counter '{name}'")
-        elif not isinstance(counters[name], int):
-            err(f"{path}.counters.{name}",
-                f"replay counter should be int, got "
-                f"{type(counters[name]).__name__}")
-
-
-def check_counter_set(path, comp, component_name, names):
-    """Fixed counter contract shared by the redundancy/rebuild components."""
-    counters = comp.get("counters", {})
-    if not isinstance(counters, dict):
-        return  # already reported by check_component
-    for name in names:
+    for name in COUNTER_SETS[component_name]:
         if name not in counters:
             err(path, f"{component_name} missing counter '{name}'")
         elif not isinstance(counters[name], int):
@@ -195,18 +207,9 @@ def check_counter_set(path, comp, component_name, names):
                 f"{type(counters[name]).__name__}")
 
 
-def check_sched_component(path, comp):
-    """The per-DS write-back scheduler: fixed counters, dynamic per-DS
-    gauges (one depth/peak/inflight triple per data server dispatched to)."""
-    counters = comp.get("counters", {})
-    if isinstance(counters, dict):
-        for name in SCHED_COUNTERS:
-            if name not in counters:
-                err(path, f"client.sched missing counter '{name}'")
-            elif not isinstance(counters[name], int):
-                err(f"{path}.counters.{name}",
-                    f"sched counter should be int, got "
-                    f"{type(counters[name]).__name__}")
+def check_sched_gauges(path, comp):
+    """The per-DS write-back scheduler's dynamic gauges: one
+    depth/peak/inflight triple per data server dispatched to."""
     gauges = comp.get("gauges", {})
     if isinstance(gauges, dict):
         for name in gauges:
@@ -277,19 +280,12 @@ def check_metrics_doc(path, doc):
                 and "client.redundancy" not in components):
             err(f"{path}.nodes.{node}", "client node missing client.redundancy")
         for comp, body in components.items():
-            check_component(f"{path}.nodes.{node}.{comp}", body)
-            if comp == "client.recovery" and isinstance(body, dict):
-                check_recovery_component(f"{path}.nodes.{node}.{comp}", body)
+            p = f"{path}.nodes.{node}.{comp}"
+            check_component(p, body)
+            if comp in COUNTER_SETS and isinstance(body, dict):
+                check_counter_set(p, body, comp)
             if comp == "client.sched" and isinstance(body, dict):
-                check_sched_component(f"{path}.nodes.{node}.{comp}", body)
-            if comp == "client.replay" and isinstance(body, dict):
-                check_replay_component(f"{path}.nodes.{node}.{comp}", body)
-            if comp == "client.redundancy" and isinstance(body, dict):
-                check_counter_set(f"{path}.nodes.{node}.{comp}", body,
-                                  "client.redundancy", REDUNDANCY_COUNTERS)
-            if comp == "mds.rebuild" and isinstance(body, dict):
-                check_counter_set(f"{path}.nodes.{node}.{comp}", body,
-                                  "mds.rebuild", REBUILD_COUNTERS)
+                check_sched_gauges(p, body)
 
     # Every export must carry per-node resource gauges for at least one
     # storage node — this is what decomposes "where the bytes went".
@@ -516,7 +512,38 @@ def check_scale_bench(path, records):
                   "include a >= 1000-client point")
 
 
-def check_file(filename):
+def check_bench_file(filename, doc):
+    check_type(f"{filename}.bench", doc.get("bench", ""), str, "bench")
+    size = os.path.getsize(filename)
+    if size > BENCH_MAX_BYTES:
+        err(filename, f"{size} bytes, over the {BENCH_MAX_BYTES}-byte cap")
+    records = doc["records"]
+    if not check_type(f"{filename}.records", records, list, "records"):
+        return
+    points = set()
+    for i, rec in enumerate(records):
+        p = f"{filename}.records[{i}]"
+        if not check_type(p, rec, dict, "record"):
+            continue
+        for key, types in BENCH_RECORD_KEYS.items():
+            if key not in rec:
+                err(p, f"missing key '{key}'")
+            else:
+                check_type(f"{p}.{key}", rec[key], types, key)
+        for key in sorted(set(rec) - set(BENCH_RECORD_KEYS) - {"host"}):
+            err(p, f"unexpected key '{key}'")
+        if "host" in rec and rec["host"] is not True:
+            err(f"{p}.host", f"host mark should be true, got {rec['host']!r}")
+        point = (rec.get("figure"), rec.get("architecture"),
+                 rec.get("clients"))
+        if point in points:
+            err(p, f"duplicate point {point}")
+        points.add(point)
+    if doc.get("bench") == "scale":
+        check_scale_bench(f"{filename}.records", records)
+
+
+def check_file(filename, components=()):
     try:
         with open(filename, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -524,55 +551,47 @@ def check_file(filename):
         err(filename, f"unreadable or not JSON: {e}")
         return
     if isinstance(doc, dict) and "records" in doc:
-        check_type(f"{filename}.bench", doc.get("bench", ""), str, "bench")
-        records = doc["records"]
-        if not check_type(f"{filename}.records", records, list, "records"):
-            return
-        for i, rec in enumerate(records):
-            p = f"{filename}.records[{i}]"
-            if not check_type(p, rec, dict, "record"):
-                continue
-            for key, types in (("figure", str), ("architecture", str),
-                               ("clients", int), ("value", (int, float)),
-                               ("unit", str)):
-                if key not in rec:
-                    err(p, f"missing key '{key}'")
-                else:
-                    check_type(f"{p}.{key}", rec[key], types, key)
-            # Derived figures (e.g. bench_obs_overhead's wall-clock
-            # "rate-ratio" series) carry no per-run export: an empty
-            # metrics object is allowed, a partial one is not.
-            metrics = rec.get("metrics", {})
-            if metrics:
-                check_metrics_doc(f"{p}.metrics", metrics)
-        if doc.get("bench") == "scale":
-            check_scale_bench(f"{filename}.records", records)
-    else:
-        check_metrics_doc(filename, doc)
+        check_bench_file(filename, doc)
+        return
+    check_metrics_doc(filename, doc)
+    nodes = doc.get("nodes", {}) if isinstance(doc, dict) else {}
+    for comp in components:
+        if not any(isinstance(c, dict) and comp in c for c in nodes.values()):
+            err(filename, f"no node exports '{comp}'")
+
+
+def run_recipes(simulate, tmp):
+    """Runs every recipe once into directory `tmp`; returns
+    [(document path, components)]."""
+    out = []
+    for name, args, components in RECIPES:
+        path = os.path.join(tmp, f"{name}.json")
+        subprocess.run([simulate, *args, f"--metrics-out={path}"],
+                       check=True, stdout=subprocess.DEVNULL,
+                       stderr=subprocess.DEVNULL)
+        out.append((path, components))
+    return out
 
 
 def main(argv):
     files = []
+    tmp = tempfile.TemporaryDirectory(prefix="dpnfs_metrics_")
     i = 1
     while i < len(argv):
         if argv[i] == "--run":
             i += 1
             if i >= len(argv):
-                print("--run requires the bench_micro path", file=sys.stderr)
+                print("--run requires the simulate path", file=sys.stderr)
                 return 2
-            bench = argv[i]
-            out = os.path.join(tempfile.mkdtemp(prefix="dpnfs_metrics_"),
-                               "metrics.json")
-            subprocess.run([bench, f"--metrics-smoke={out}"], check=True)
-            files.append(out)
+            files += run_recipes(argv[i], tmp.name)
         else:
-            files.append(argv[i])
+            files.append((argv[i], ()))
         i += 1
     if not files:
         print(__doc__, file=sys.stderr)
         return 2
-    for f in files:
-        check_file(f)
+    for f, components in files:
+        check_file(f, components)
     if errors:
         for e in errors:
             print(f"SCHEMA ERROR {e}", file=sys.stderr)

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Prove that two builds of the simulator produce byte-identical outputs.
 
-Runs a fixed list of `simulate` recipes (data-server crashes, revives and
-restarts; mirror and erasure-coded kills and transient outages; seeded
-chaos storms on all five architectures) through each tree's
+Runs a fixed list of `simulate` recipes (fault-free IOR writes and reads,
+data-server crashes, revives and restarts, mirror and erasure-coded kills
+and transient outages, and seeded chaos storms, each on all five
+architectures where it applies) through each tree's
 `build/examples/simulate`, and byte-compares per recipe the exit code,
 stdout, the `--metrics-out` document and the `--flight-out` dump.  Then it
-runs each tree's full `bench_fig6_write` and `bench_fig7_read` and
-byte-compares their BENCH files.  A refactor that claims "same outputs"
-(same wire bytes, same same-seed results, same figure numbers) should pass
-this unchanged.
+runs each tree's full `bench_fig6_write` and `bench_fig7_read` and compares
+their stdout byte for byte and their BENCH files point by point (figure,
+architecture, clients, value, unit and host mark; other keys are ignored,
+so trees that write richer records still compare).  A refactor that claims
+"same outputs" (same wire bytes, same same-seed results, same figure
+numbers) should pass this unchanged.
 
 Both trees must already be built (`cmake --build <tree>/build`).  Every
 run happens in its own scratch directory under a temporary root, with the
@@ -18,11 +21,12 @@ same relative output paths, so stdout lines that echo those paths match.
 Usage:
   compare_outputs.py PARENT_TREE CHANGE_TREE [--no-bench] [--keep=DIR]
 
-Exit status: 0 when every recipe and BENCH file matches, 1 otherwise (each
-differing recipe is named), 2 on usage errors.
+Exit status: 0 when every recipe and bench matches, 1 otherwise (each
+differing recipe or bench is named), 2 on usage errors.
 """
 
 import filecmp
+import json
 import os
 import shutil
 import subprocess
@@ -34,9 +38,16 @@ import tempfile
 SMALL = ["--clients=2", "--storage-nodes=4", "--bytes=33554432"]
 CHAOS = ["--clients=2", "--storage-nodes=4", "--bytes=67108864"]
 
+ARCHS = ("direct", "pvfs", "2tier", "3tier", "nfs")
+
 # (name, simulate arguments).  Names are stable: they key the scratch
-# directories and the report.
+# directories and the report.  Fault-free runs first: every architecture's
+# plain metrics and flight documents.
 RECIPES = [
+    (f"{_wl}-{_arch}", [f"--arch={_arch}", f"--workload={_wl}", *SMALL])
+    for _wl in ("ior-write", "ior-read") for _arch in ARCHS
+]
+RECIPES += [
     # Stripe layout, one data server's NFS service down.
     ("ds-crash-ior-write", ["--workload=ior-write", *SMALL, "--fault-ds-crash=1",
                             "--fault-at-ms=300"]),
@@ -106,7 +117,7 @@ RECIPES = [
     # An erasure-coding geometry wider than the active storage nodes.
     ("ec-too-wide", ["--workload=ior-write", *SMALL, "--redundancy=ec"]),
 ]
-for _arch in ("direct", "pvfs", "2tier", "3tier", "nfs"):
+for _arch in ARCHS:
     for _seed in (1, 2, 3):
         RECIPES.append((f"chaos-{_arch}-{_seed}",
                         [f"--arch={_arch}", "--workload=ior-write", *CHAOS,
@@ -158,14 +169,36 @@ def compare_recipe(trees, name, args, root):
     return diffs
 
 
+BENCH_KEYS = ("figure", "architecture", "clients", "value", "unit", "host")
+
+
+def bench_points(path):
+    """The gate-visible fields of every record, or None if unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            records = json.load(f)["records"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return [tuple(r.get(k) for k in BENCH_KEYS) for r in records]
+
+
 def compare_bench(trees, exe, out, root):
+    """Returns the list of outputs that differ for one bench."""
     dirs = [os.path.join(root, side, exe) for side in ("parent", "change")]
+    stdouts = []
     for tree, d in zip(trees, dirs):
         os.makedirs(d, exist_ok=True)
-        subprocess.run([os.path.join(tree, "build", "bench", exe)], cwd=d,
-                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                       check=False)
-    return same_file(*(os.path.join(d, out) for d in dirs))
+        proc = subprocess.run([os.path.join(tree, "build", "bench", exe)],
+                              cwd=d, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, check=False)
+        with open(os.path.join(d, "stdout.txt"), "wb") as f:
+            f.write(proc.stdout)
+        stdouts.append(proc.stdout)
+    diffs = [] if stdouts[0] == stdouts[1] else ["stdout"]
+    points = [bench_points(os.path.join(d, out)) for d in dirs]
+    if points[0] is None or points[0] != points[1]:
+        diffs.append(out)
+    return diffs
 
 
 def main(argv):
@@ -200,10 +233,11 @@ def main(argv):
             differing.append(name)
     if "--no-bench" not in flags:
         for exe, out in BENCHES:
-            same = compare_bench(trees, exe, out, root)
-            print(f"{'same' if same else 'DIFF'}  {out}")
-            if not same:
-                differing.append(out)
+            diffs = compare_bench(trees, exe, out, root)
+            print(f"{'DIFF' if diffs else 'same'}  {exe}"
+                  + (f"  ({', '.join(diffs)})" if diffs else ""))
+            if diffs:
+                differing.append(exe)
 
     print(f"\n{len(differing)} differing: {' '.join(differing) or '-'}")
     if keep:
