@@ -11,10 +11,15 @@
 namespace dpnfs::core {
 
 using pvfs::DfileRef;
+using pvfs::encode_args;
 using pvfs::FileMeta;
 using pvfs::IoProc;
+using pvfs::ObjectArgs;
 using pvfs::PvfsError;
 using pvfs::PvfsStatus;
+using pvfs::ReadArgs;
+using pvfs::TruncateArgs;
+using pvfs::WriteArgs;
 using rpc::Payload;
 using rpc::XdrEncoder;
 using sim::Task;
@@ -36,22 +41,26 @@ RebuildManager::RebuildManager(rpc::RpcFabric& fabric, sim::Node& node,
       config_(config),
       rpc_(fabric, node, "rebuild@SIM"),
       down_since_(storage_.size(), sim::kNever) {
-  if (obs::MetricsRegistry* reg = fabric.metrics()) {
-    const std::string& n = node.name();
-    m_declared_dead_ = &reg->counter(n, "mds.rebuild", "dses_declared_dead");
-    m_started_ = &reg->counter(n, "mds.rebuild", "rebuilds_started");
-    m_completed_ = &reg->counter(n, "mds.rebuild", "rebuilds_completed");
-    m_objects_ = &reg->counter(n, "mds.rebuild", "objects_rebuilt");
-    m_bytes_ = &reg->counter(n, "mds.rebuild", "bytes_rebuilt");
-    m_failed_ = &reg->counter(n, "mds.rebuild", "objects_failed");
-  } else {
-    m_declared_dead_ = &obs::MetricsRegistry::null_counter();
-    m_started_ = &obs::MetricsRegistry::null_counter();
-    m_completed_ = &obs::MetricsRegistry::null_counter();
-    m_objects_ = &obs::MetricsRegistry::null_counter();
-    m_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_failed_ = &obs::MetricsRegistry::null_counter();
-  }
+  obs::MetricsRegistry& reg =
+      fabric.metrics() != nullptr ? *fabric.metrics() : own_metrics_;
+  const std::string& n = node.name();
+  m_declared_dead_ = &reg.counter(n, "mds.rebuild", "dses_declared_dead");
+  m_started_ = &reg.counter(n, "mds.rebuild", "rebuilds_started");
+  m_completed_ = &reg.counter(n, "mds.rebuild", "rebuilds_completed");
+  m_objects_ = &reg.counter(n, "mds.rebuild", "objects_rebuilt");
+  m_bytes_ = &reg.counter(n, "mds.rebuild", "bytes_rebuilt");
+  m_failed_ = &reg.counter(n, "mds.rebuild", "objects_failed");
+}
+
+RebuildStats RebuildManager::stats() const {
+  return RebuildStats{
+      .dses_declared_dead = m_declared_dead_->value(),
+      .rebuilds_started = m_started_->value(),
+      .rebuilds_completed = m_completed_->value(),
+      .objects_rebuilt = m_objects_->value(),
+      .bytes_rebuilt = m_bytes_->value(),
+      .objects_failed = m_failed_->value(),
+  };
 }
 
 RebuildManager::~RebuildManager() { stop_ = true; }
@@ -110,11 +119,8 @@ Task<rpc::RpcClient::Reply> RebuildManager::io_call(uint32_t server_index,
 
 Task<Payload> RebuildManager::read_object(uint32_t server, uint64_t oid,
                                           uint64_t offset, uint64_t length) {
-  XdrEncoder a;
-  a.put_u64(oid);
-  a.put_u64(offset);
-  a.put_u64(length);
-  auto r = co_await io_call(server, IoProc::kRead, std::move(a));
+  const ReadArgs a{oid, {{offset, length}}};
+  auto r = co_await io_call(server, a.proc(), encode_args(a));
   auto d = r.body();
   if (static_cast<PvfsStatus>(d.get_u32()) != PvfsStatus::kOk) {
     throw PvfsError(PvfsStatus::kIo, "rebuild read");
@@ -124,11 +130,9 @@ Task<Payload> RebuildManager::read_object(uint32_t server, uint64_t oid,
 
 Task<void> RebuildManager::write_object(uint32_t server, uint64_t oid,
                                         uint64_t offset, Payload data) {
-  XdrEncoder a;
-  a.put_u64(oid);
-  a.put_u64(offset);
-  a.put_payload(std::move(data));
-  auto r = co_await io_call(server, IoProc::kWrite, std::move(a));
+  const uint64_t length = data.size();
+  const WriteArgs a{oid, {{offset, length}}, std::move(data)};
+  auto r = co_await io_call(server, a.proc(), encode_args(a));
   auto d = r.body();
   if (static_cast<PvfsStatus>(d.get_u32()) != PvfsStatus::kOk) {
     throw PvfsError(PvfsStatus::kIo, "rebuild write");
@@ -144,7 +148,6 @@ Task<void> RebuildManager::pace(uint64_t bytes) {
 
 Task<void> RebuildManager::rebuild_node(uint32_t index) {
   const sim::Time now = fabric_.simulation().now();
-  ++stats_.dses_declared_dead;
   m_declared_dead_->inc();
   util::logf(util::LogLevel::kWarn, "mds.rebuild", now,
              "storage daemon %u declared permanently failed", index);
@@ -173,7 +176,6 @@ Task<void> RebuildManager::rebuild_node(uint32_t index) {
     co_return;
   }
 
-  ++stats_.rebuilds_started;
   m_started_->inc();
   if (obs::FlightRecorder* flight = fabric_.flight()) {
     flight->record(now, node_.name(), "mds.rebuild", "rebuild.start",
@@ -207,17 +209,14 @@ Task<void> RebuildManager::rebuild_node(uint32_t index) {
       }
       if (rebuilt) {
         ++ok;
-        ++stats_.objects_rebuilt;
         m_objects_->inc();
       } else {
         ++failed;
-        ++stats_.objects_failed;
         m_failed_->inc();
       }
     }
   }
 
-  ++stats_.rebuilds_completed;
   m_completed_->inc();
   const sim::Time end = fabric_.simulation().now();
   util::logf(util::LogLevel::kInfo, "mds.rebuild", end,
@@ -225,7 +224,7 @@ Task<void> RebuildManager::rebuild_node(uint32_t index) {
              "%llu failed, %s copied",
              index, spare, static_cast<unsigned long long>(ok),
              static_cast<unsigned long long>(failed),
-             util::format_bytes(stats_.bytes_rebuilt).c_str());
+             util::format_bytes(m_bytes_->value()).c_str());
   if (obs::FlightRecorder* flight = fabric_.flight()) {
     flight->record(end, node_.name(), "mds.rebuild", "rebuild.complete",
                    util::sformat("storage %u -> spare %u, %llu objects, "
@@ -248,11 +247,10 @@ Task<bool> RebuildManager::rebuild_dfile(FileMeta& meta, uint32_t pos,
   std::vector<uint64_t> sizes(meta.dfiles.size(), 0);
   for (uint32_t i = 0; i < meta.dfiles.size(); ++i) {
     if (i == pos || daemon_down(meta.dfiles[i].server_index, now)) continue;
-    XdrEncoder a;
-    a.put_u64(meta.dfiles[i].object_id);
     try {
-      auto r = co_await io_call(meta.dfiles[i].server_index, IoProc::kGetSize,
-                                std::move(a));
+      auto r = co_await io_call(
+          meta.dfiles[i].server_index, IoProc::kGetSize,
+          encode_args(ObjectArgs{meta.dfiles[i].object_id}));
       auto d = r.body();
       if (static_cast<PvfsStatus>(d.get_u32()) == PvfsStatus::kOk) {
         sizes[i] = d.get_u64();
@@ -267,9 +265,8 @@ Task<bool> RebuildManager::rebuild_dfile(FileMeta& meta, uint32_t pos,
   // Materialize the replacement object on the spare.
   const uint64_t oid = meta_.allocate_object();
   {
-    XdrEncoder a;
-    a.put_u64(oid);
-    auto r = co_await io_call(spare, IoProc::kCreate, std::move(a));
+    auto r = co_await io_call(spare, IoProc::kCreate,
+                              encode_args(ObjectArgs{oid}));
     auto d = r.body();
     if (static_cast<PvfsStatus>(d.get_u32()) != PvfsStatus::kOk) {
       throw PvfsError(PvfsStatus::kIo, "rebuild create");
@@ -294,7 +291,6 @@ Task<bool> RebuildManager::rebuild_dfile(FileMeta& meta, uint32_t pos,
                                            len);
       const uint64_t copied = chunk.size();
       co_await write_object(spare, oid, off, std::move(chunk));
-      stats_.bytes_rebuilt += copied;
       m_bytes_->add(copied);
       co_await pace(copied);
     }
@@ -325,23 +321,14 @@ Task<bool> RebuildManager::rebuild_dfile(FileMeta& meta, uint32_t pos,
       std::vector<std::byte> out(shards[pos]->begin(),
                                  shards[pos]->begin() + len);
       co_await write_object(spare, oid, off, Payload::inline_bytes(out));
-      stats_.bytes_rebuilt += len;
       m_bytes_->add(len);
       co_await pace(len);
     }
   }
 
-  {
-    XdrEncoder a;
-    a.put_u64(oid);
-    a.put_u64(target);
-    co_await io_call(spare, IoProc::kTruncate, std::move(a));
-  }
-  {
-    XdrEncoder a;
-    a.put_u64(oid);
-    co_await io_call(spare, IoProc::kCommit, std::move(a));
-  }
+  co_await io_call(spare, IoProc::kTruncate,
+                   encode_args(TruncateArgs{oid, target}));
+  co_await io_call(spare, IoProc::kCommit, encode_args(ObjectArgs{oid}));
 
   // Retarget the distribution: layouts handed out from here on point at
   // the spare.

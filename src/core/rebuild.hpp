@@ -44,7 +44,7 @@ struct RebuildConfig {
   double rate_bytes_per_sec = 0.0;
 };
 
-/// Per-manager totals, mirrored into the "mds.rebuild" metric family.
+/// Per-manager totals: a snapshot of the "mds.rebuild" counters.
 struct RebuildStats {
   uint64_t dses_declared_dead = 0;
   uint64_t rebuilds_started = 0;
@@ -73,7 +73,8 @@ class RebuildManager {
   void start();
   void stop() { stop_ = true; }
 
-  const RebuildStats& stats() const noexcept { return stats_; }
+  /// Read from the registry counters: a copy, not a live view.
+  RebuildStats stats() const;
   const RebuildConfig& config() const noexcept { return config_; }
 
   /// Storage indexes declared permanently failed so far.
@@ -112,13 +113,16 @@ class RebuildManager {
 
   bool running_ = false;
   bool stop_ = false;
-  RebuildStats stats_;
   std::vector<uint32_t> dead_;
   /// Spares consumed so far; the next rebuild takes active + consumed.
   uint32_t spares_used_ = 0;
   /// Since when each daemon has been continuously down (kNever = up).
   std::vector<sim::Time> down_since_;
 
+  /// The counters' store when the fabric carries no registry, so stats()
+  /// always has one to read.
+  obs::MetricsRegistry own_metrics_;
+  // "mds.rebuild" component handles, resolved once at construction.
   obs::Counter* m_declared_dead_;
   obs::Counter* m_started_;
   obs::Counter* m_completed_;

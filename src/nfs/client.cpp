@@ -64,17 +64,6 @@ void expect_sequence_putfh(CompoundReply& r) {
   r.expect(OpCode::kPutFh);
 }
 
-/// A short read's missing tail reads as zeros: real ones for inline
-/// content, a virtual run for virtual content.
-void zero_fill(Payload& p, uint64_t missing) {
-  if (p.size() == 0 || p.is_inline()) {
-    p.append(Payload::inline_bytes(
-        std::vector<std::byte>(missing, std::byte{0})));
-  } else {
-    p.append(Payload::virtual_bytes(missing));
-  }
-}
-
 bool redundant(const NfsClient::FileState& f) {
   return f.layout && redundant_aggregation(f.layout->aggregation);
 }

@@ -139,7 +139,6 @@ Task<void> NfsServer::recall_layouts(FileHandle fh) {
   if (it == layout_holders_.end()) co_return;
   std::set<uint64_t> holders = std::move(it->second);
   layout_holders_.erase(it);
-  recalls_ += holders.size();
   m_layouts_recalled_->add(holders.size());
   co_await send_recalls(fh, std::move(holders), kProcCbLayoutRecall);
 }
@@ -157,7 +156,6 @@ Task<void> NfsServer::recall_delegations(FileHandle fh, uint64_t keep_session) {
   } else {
     delegation_holders_.erase(it);
   }
-  delegation_recalls_ += holders.size();
   m_delegation_recalls_->add(holders.size());
   co_await send_recalls(fh, std::move(holders), kProcCbRecallDelegation);
 }
@@ -170,7 +168,6 @@ bool NfsServer::stateid_ok(const Stateid& sid) const {
 
 Task<void> NfsServer::serve(const rpc::CallContext& ctx, XdrDecoder& args,
                             XdrEncoder& results) {
-  ++compounds_;
   m_compounds_->inc();
   check_restart(fabric_.simulation().now());
   if (!grace_logged_ && !in_grace(fabric_.simulation().now())) {

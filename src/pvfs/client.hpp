@@ -54,17 +54,11 @@ struct PvfsClientStats {
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
   uint64_t storage_requests = 0;
-  uint64_t meta_requests = 0;
-  // Crash-recovery accounting (mirrors nfs::ClientStats replay counters).
+  // Crash-recovery accounting: the node's "client.replay" counters (the
+  // ones nfs::ClientStats reads too).
   uint64_t verifier_mismatches = 0;
   uint64_t replayed_extents = 0;
   uint64_t replayed_bytes = 0;
-  // List I/O accounting: kReadv/kWritev requests, regions they carried and
-  // bytes they moved (single-region requests go out as classic kRead/kWrite
-  // and are not counted here).
-  uint64_t vectored_requests = 0;
-  uint64_t vectored_regions = 0;
-  uint64_t vectored_bytes = 0;
 };
 
 /// An open PVFS2 file: distribution metadata plus a cached logical size.
@@ -108,7 +102,12 @@ class PvfsClient {
   sim::Task<uint64_t> fetch_size(PvfsFilePtr file);
   sim::Task<void> truncate(PvfsFilePtr file, uint64_t size);
 
-  const PvfsClientStats& stats() const noexcept { return stats_; }
+  /// A copy, not a live view.  The replay fields are read from the
+  /// registry, whose "client.replay" counters are per node: where two PVFS
+  /// clients share a node (on 2-tier and 3-tier, the node running both the
+  /// MDS and data server 0), both report the node's sum, exactly what the
+  /// metrics export shows.
+  PvfsClientStats stats() const;
   const PvfsClientConfig& config() const noexcept { return config_; }
 
   /// Forgets all retained/stale write pieces and known daemon verifiers.
@@ -142,33 +141,64 @@ class PvfsClient {
     std::map<uint64_t, PieceMap> stale;
   };
 
-  /// One (dfile offset, length) region of a vectored storage request.
-  struct IoRange {
-    uint64_t offset = 0;
-    uint64_t length = 0;
+  /// One storage-request-sized piece of a read or write: a region of one
+  /// dfile and its bytes (to send, or read back).
+  struct Piece {
+    uint32_t dfile_index = 0;
+    uint64_t file_offset = 0;
+    IoRegion region;  ///< offset and length within the dfile
+    rpc::Payload data;
   };
 
+  /// Runs `make_task(i)` for every i in [0, n): each task is made (any
+  /// synchronous work in `make_task` runs then) and spawned in index order,
+  /// and all are awaited.  Returns how many failed with a PvfsError; each
+  /// caller applies its own failure rule.  `make_task` outlives every task
+  /// it makes, so it may be a capturing coroutine lambda.
+  template <typename MakeTask>
+  sim::Task<uint32_t> fan_out(size_t n, MakeTask make_task);
+
+  /// One metadata request; throws PvfsError(status, what) unless the reply
+  /// status is kOk.  The returned reply's body() starts after the status.
   sim::Task<rpc::RpcClient::Reply> meta_call(MetaProc proc,
-                                             rpc::XdrEncoder args);
+                                             rpc::XdrEncoder args,
+                                             std::string what);
   /// One storage request through the buffer pool (charges client CPU).
+  /// Throws PvfsError on a failed call; the reply body starts with the
+  /// daemon's status.
   sim::Task<rpc::RpcClient::Reply> io_call(uint32_t server_index, IoProc proc,
                                            rpc::XdrEncoder args,
                                            uint64_t data_bytes,
                                            obs::TraceContext trace = {});
-  /// Fetches `regions` of one dfile in a single request (a 1-element list
-  /// goes out as the classic kRead).  Each returned payload is zero-padded
-  /// to its region's length: dfile holes read as zeros.
-  sim::Task<std::vector<rpc::Payload>> read_regions(
-      const DfileRef& dfile, const std::vector<IoRange>& regions,
-      obs::TraceContext trace);
-  /// Sends `regions` of one dfile in a single unstable write carrying the
-  /// regions' bytes concatenated in list order (1-element lists use the
-  /// classic kWrite).  Returns the daemon's boot verifier, which covers
-  /// every region.
-  sim::Task<uint64_t> write_regions(const DfileRef& dfile,
-                                    const std::vector<IoRange>& regions,
-                                    rpc::Payload data, obs::TraceContext trace);
+  /// io_call for a procedure with no results; throws PvfsError(kIo, what)
+  /// unless the daemon answers kOk.
+  sim::Task<void> checked_call(uint32_t server_index, IoProc proc,
+                               rpc::XdrEncoder args, const char* what);
   static PvfsStatus reply_status(rpc::XdrDecoder& dec);
+  /// A decoder over a storage reply's results, past its status.  Throws
+  /// PvfsError(kIo, what) unless the status is kOk.
+  static rpc::XdrDecoder ok_results(const rpc::RpcClient::Reply& reply,
+                                    const char* what);
+
+  /// Cuts stripe extents into pieces of at most buffer_size bytes.
+  std::vector<Piece> cut_pieces(const std::vector<StripeExtent>& extents) const;
+  /// Groups pieces into list requests: by dfile, in dfile-index order, then
+  /// split at listio_max_regions regions or buffer_size bytes (1 region each
+  /// with list I/O off).  Returns piece indexes per request.
+  std::vector<std::vector<size_t>> batch_pieces(
+      const std::vector<Piece>& pieces) const;
+  /// Reads pieces `idx` of one dfile in a single request into their `data`,
+  /// each zero-padded to its region's length: dfile holes read as zeros.
+  sim::Task<void> read_regions(DfileRef dfile, std::vector<Piece>& pieces,
+                               const std::vector<size_t>& idx,
+                               obs::TraceContext trace);
+  /// Sends pieces `idx` of one dfile in a single unstable write carrying
+  /// their bytes concatenated in list order.  Returns the daemon's boot
+  /// verifier, which covers every region.
+  sim::Task<uint64_t> write_regions(DfileRef dfile,
+                                    const std::vector<Piece>& pieces,
+                                    const std::vector<size_t>& idx,
+                                    obs::TraceContext trace);
 
   /// Adopts a write verifier observed in a kWrite/kCommit reply from daemon
   /// `server_index`.  A change moves every retained piece to the stale set
@@ -192,10 +222,16 @@ class PvfsClient {
   rpc::RpcClient rpc_;
   PvfsClientConfig config_;
   sim::Semaphore buffers_;
-  PvfsClientStats stats_;
   std::vector<DaemonState> daemons_;
   uint64_t retain_seq_ = 0;
+  uint64_t bytes_read_ = 0;
+  uint64_t bytes_written_ = 0;
+  uint64_t storage_requests_ = 0;
 
+  /// The counters' store when the fabric carries no registry, so stats()
+  /// always has one to read.
+  obs::MetricsRegistry own_metrics_;
+  // "client.replay" component handles, resolved once at construction.
   obs::Counter* m_verifier_mismatches_;
   obs::Counter* m_replayed_extents_;
   obs::Counter* m_replayed_bytes_;

@@ -20,6 +20,38 @@ const char* pvfs_status_name(PvfsStatus s) {
 
 namespace {
 
+/// Most regions one list request may carry.
+constexpr uint32_t kMaxRegions = 1u << 20;
+
+uint64_t total_length(const std::vector<IoRegion>& regions) {
+  uint64_t n = 0;
+  for (const IoRegion& r : regions) n += r.length;
+  return n;
+}
+
+/// The list layout's regions: count u32 | (offset u64, length u64)*.
+void put_regions(rpc::XdrEncoder& enc, const std::vector<IoRegion>& regions) {
+  enc.put_u32(static_cast<uint32_t>(regions.size()));
+  for (const IoRegion& r : regions) {
+    enc.put_u64(r.offset);
+    enc.put_u64(r.length);
+  }
+}
+
+std::vector<IoRegion> get_regions(rpc::XdrDecoder& dec) {
+  const uint32_t n = dec.get_u32();
+  if (n == 0 || n > kMaxRegions) {
+    throw PvfsError(PvfsStatus::kInval, "region list");
+  }
+  std::vector<IoRegion> regions;
+  regions.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint64_t offset = dec.get_u64();
+    regions.push_back({offset, dec.get_u64()});
+  }
+  return regions;
+}
+
 /// Dense round-robin mapping over the first `n` dfiles.
 std::vector<StripeExtent> map_dense(const FileMeta& meta, uint64_t n,
                                     uint64_t offset, uint64_t length) {
@@ -57,6 +89,59 @@ void check_distribution(const FileMeta& meta, const char* who) {
 }
 
 }  // namespace
+
+uint64_t ReadArgs::total_length() const {
+  return pvfs::total_length(regions);
+}
+
+void ReadArgs::encode(rpc::XdrEncoder& enc) const {
+  enc.put_u64(object_id);
+  if (proc() == IoProc::kReadv) {
+    put_regions(enc, regions);
+    return;
+  }
+  enc.put_u64(regions[0].offset);
+  enc.put_u64(regions[0].length);
+}
+
+ReadArgs ReadArgs::decode(IoProc proc, rpc::XdrDecoder& dec) {
+  ReadArgs a;
+  a.object_id = dec.get_u64();
+  if (proc == IoProc::kReadv) {
+    a.regions = get_regions(dec);
+    return a;
+  }
+  const uint64_t offset = dec.get_u64();
+  a.regions = {{offset, dec.get_u64()}};
+  return a;
+}
+
+void WriteArgs::encode(rpc::XdrEncoder& enc) const {
+  enc.put_u64(object_id);
+  if (proc() == IoProc::kWritev) {
+    put_regions(enc, regions);
+  } else {
+    enc.put_u64(regions[0].offset);
+  }
+  enc.put_payload(data);
+}
+
+WriteArgs WriteArgs::decode(IoProc proc, rpc::XdrDecoder& dec) {
+  WriteArgs a;
+  a.object_id = dec.get_u64();
+  if (proc == IoProc::kWritev) {
+    a.regions = get_regions(dec);
+    a.data = dec.get_payload();
+    if (pvfs::total_length(a.regions) != a.data.size()) {
+      throw PvfsError(PvfsStatus::kInval, "list write payload length");
+    }
+    return a;
+  }
+  const uint64_t offset = dec.get_u64();
+  a.data = dec.get_payload();
+  a.regions = {{offset, a.data.size()}};
+  return a;
+}
 
 std::vector<StripeExtent> map_stripes(const FileMeta& meta, uint64_t offset,
                                       uint64_t length) {

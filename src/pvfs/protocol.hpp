@@ -53,14 +53,21 @@ enum class MetaProc : uint32_t {
   kReaddir = 6,
 };
 
-/// Storage-daemon (I/O) procedures.
+/// Storage-daemon (I/O) procedures.  Every reply starts with a PvfsStatus.
 ///
-/// kWrite and kCommit replies append the daemon's 8-byte boot verifier
-/// after the payload: equal WRITE/COMMIT verifiers guarantee no daemon
-/// restart intervened, so unstable data reached the journal (mirrors the
-/// NFS COMMIT verifier, RFC 5661 §18.32).  On a mismatch the client
-/// replays its retained unstable pieces (docs/failures.md, "Restart
-/// semantics").
+/// Reads and writes are list I/O ("Noncontiguous I/O through PVFS"): a
+/// request carries (offset, length) regions of one object, and the
+/// single-range operation is the 1-element list.  ReadArgs/WriteArgs below
+/// are their one codec: a 1-element list travels as the classic
+/// kRead/kWrite, a longer one as kReadv/kWritev.  A read reply carries one
+/// payload per region (the daemon reads the covering span in one disk
+/// pass), a write reply one boot verifier covering every region.
+///
+/// Write and kCommit replies carry the daemon's 8-byte boot verifier after
+/// the status: equal write/commit verifiers guarantee no daemon restart
+/// intervened, so unstable data reached the journal (mirrors the NFS
+/// COMMIT verifier, RFC 5661 §18.32).  On a mismatch the client replays
+/// its retained unstable pieces (docs/failures.md, "Restart semantics").
 enum class IoProc : uint32_t {
   kRead = 1,
   kWrite = 2,
@@ -69,16 +76,89 @@ enum class IoProc : uint32_t {
   kRemove = 5,
   kTruncate = 6,
   kCreate = 7,
-  // List I/O ("Noncontiguous I/O through PVFS"): one request carrying a
-  // vector of (offset, length) regions against one object, backed by a
-  // single scatter-gather payload.  Args: oid u64 | count u32 | (offset
-  // u64, length u64)* [| payload for kWritev].  A kReadv reply returns one
-  // payload per region; a kWritev reply carries one status and one boot
-  // verifier covering every region.  The daemon serves kReadv as a single
-  // covering span with one disk pass.
   kReadv = 8,
   kWritev = 9,
 };
+
+/// One (offset, length) region of an object.
+struct IoRegion {
+  uint64_t offset = 0;
+  uint64_t length = 0;
+};
+
+/// kRead / kReadv arguments.  One region travels as kRead (oid u64 |
+/// offset u64 | length u64, the golden-pinned pre-list layout), any other
+/// count as kReadv (oid u64 | count u32 | (offset u64, length u64)*);
+/// `proc()` picks.
+struct ReadArgs {
+  uint64_t object_id = 0;
+  std::vector<IoRegion> regions;
+
+  IoProc proc() const {
+    return regions.size() == 1 ? IoProc::kRead : IoProc::kReadv;
+  }
+  uint64_t total_length() const;
+  void encode(rpc::XdrEncoder& enc) const;
+  /// Parses the layout `proc` names.  Throws PvfsError(kInval) on an empty
+  /// or oversized region list.
+  static ReadArgs decode(IoProc proc, rpc::XdrDecoder& dec);
+};
+
+/// kWrite / kWritev arguments: `data` holds the regions' bytes concatenated
+/// in list order.  One region travels as kWrite (oid u64 | offset u64 |
+/// payload, the length being the payload's), any other count as kWritev
+/// (oid u64 | count u32 | (offset u64, length u64)* | payload).
+struct WriteArgs {
+  uint64_t object_id = 0;
+  std::vector<IoRegion> regions;
+  rpc::Payload data;
+
+  IoProc proc() const {
+    return regions.size() == 1 ? IoProc::kWrite : IoProc::kWritev;
+  }
+  void encode(rpc::XdrEncoder& enc) const;
+  /// Parses the layout `proc` names.  Throws PvfsError(kInval) on an empty
+  /// or oversized region list, or a payload whose length is not the
+  /// regions' total.
+  static WriteArgs decode(IoProc proc, rpc::XdrDecoder& dec);
+};
+
+/// kCommit, kGetSize, kRemove and kCreate arguments: oid u64.
+struct ObjectArgs {
+  uint64_t object_id = 0;
+
+  void encode(rpc::XdrEncoder& enc) const { enc.put_u64(object_id); }
+  static ObjectArgs decode(rpc::XdrDecoder& dec) {
+    ObjectArgs a;
+    a.object_id = dec.get_u64();
+    return a;
+  }
+};
+
+/// kTruncate arguments: oid u64 | new dfile size u64.
+struct TruncateArgs {
+  uint64_t object_id = 0;
+  uint64_t size = 0;
+
+  void encode(rpc::XdrEncoder& enc) const {
+    enc.put_u64(object_id);
+    enc.put_u64(size);
+  }
+  static TruncateArgs decode(rpc::XdrDecoder& dec) {
+    TruncateArgs a;
+    a.object_id = dec.get_u64();
+    a.size = dec.get_u64();
+    return a;
+  }
+};
+
+/// A storage request body holding `args`.
+template <typename Args>
+rpc::XdrEncoder encode_args(const Args& args) {
+  rpc::XdrEncoder enc;
+  enc.put(args);
+  return enc;
+}
 
 /// One data file (dfile): the portion of a file stored on one storage node.
 struct DfileRef {

@@ -1,5 +1,7 @@
 #include "pvfs/storage_server.hpp"
 
+#include <algorithm>
+
 #include "sim/fault.hpp"
 #include "util/format.hpp"
 #include "util/log.hpp"
@@ -41,34 +43,37 @@ PvfsStorageServer::PvfsStorageServer(rpc::RpcFabric& fabric, sim::Node& node,
       });
 }
 
-void PvfsStorageServer::trace_store_op(const rpc::CallContext& ctx,
-                                       const char* op, int64_t start,
-                                       uint64_t bytes_in, uint64_t bytes_out,
-                                       int64_t disk_ns) const {
-  if (tracer_ == nullptr || !ctx.trace.valid()) return;
-  obs::Span span;
-  span.trace_id = ctx.trace.trace_id;
-  span.span_id = tracer_->begin(ctx.trace).span_id;
-  span.parent_span_id = ctx.trace.span_id;
-  span.kind = obs::SpanKind::kInternal;
-  span.name = std::string("store/") + op;
-  span.node = node_.name();
-  span.start = start;
-  span.end = node_.simulation().now();
-  span.bytes_out = bytes_out;
-  span.bytes_in = bytes_in;
-  span.disk = disk_ns;
-  tracer_->record(std::move(span));
+PvfsStorageServer::StoreClock PvfsStorageServer::start_store_op() const {
+  return {node_.simulation().now(), store_.stats().disk_time_ns};
 }
 
-void PvfsStorageServer::account_store_op(const rpc::CallContext& ctx,
-                                         uint64_t read_bytes,
-                                         uint64_t write_bytes,
-                                         int64_t disk_ns) const {
-  obs::TenantLedger* tenants = fabric_.tenants();
-  if (tenants == nullptr) return;
-  tenants->account_data(ctx.trace.tenant, read_bytes, write_bytes);
-  tenants->account_disk(ctx.trace.tenant, disk_ns);
+void PvfsStorageServer::finish_store_op(const rpc::CallContext& ctx,
+                                        const char* op, StoreClock clock,
+                                        uint64_t read_bytes,
+                                        uint64_t write_bytes,
+                                        int64_t extra_disk_ns) const {
+  const int64_t disk_ns =
+      static_cast<int64_t>(store_.stats().disk_time_ns - clock.disk_ns) +
+      extra_disk_ns;
+  if (tracer_ != nullptr && ctx.trace.valid()) {
+    obs::Span span;
+    span.trace_id = ctx.trace.trace_id;
+    span.span_id = tracer_->begin(ctx.trace).span_id;
+    span.parent_span_id = ctx.trace.span_id;
+    span.kind = obs::SpanKind::kInternal;
+    span.name = std::string("store/") + op;
+    span.node = node_.name();
+    span.start = clock.start;
+    span.end = node_.simulation().now();
+    span.bytes_out = read_bytes;
+    span.bytes_in = write_bytes;
+    span.disk = disk_ns;
+    tracer_->record(std::move(span));
+  }
+  if (obs::TenantLedger* tenants = fabric_.tenants()) {
+    tenants->account_data(ctx.trace.tenant, read_bytes, write_bytes);
+    tenants->account_disk(ctx.trace.tenant, disk_ns);
+  }
 }
 
 void PvfsStorageServer::check_restart(sim::Time now) {
@@ -102,212 +107,131 @@ void PvfsStorageServer::check_restart(sim::Time now) {
   }
 }
 
+Task<void> PvfsStorageServer::charge_cpu(uint64_t bytes) {
+  co_await node_.cpu().execute(
+      config_.cpu_per_request +
+      static_cast<sim::Duration>(config_.cpu_ns_per_byte *
+                                 static_cast<double>(bytes)));
+}
+
 Task<void> PvfsStorageServer::serve(const rpc::CallContext& ctx,
                                     XdrDecoder& args, XdrEncoder& results) {
   check_restart(node_.simulation().now());
   const auto proc = static_cast<IoProc>(ctx.header.proc);
   m_requests_->inc();
-  switch (proc) {
-    case IoProc::kRead: {
-      const uint64_t oid = args.get_u64();
-      const uint64_t offset = args.get_u64();
-      const uint64_t length = args.get_u64();
-      co_await node_.cpu().execute(
-          config_.cpu_per_request +
-          static_cast<sim::Duration>(config_.cpu_ns_per_byte *
-                                     static_cast<double>(length)));
-      results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
-      if (!store_.exists(oid)) {
-        results.put_payload(rpc::Payload{});
-      } else {
-        const int64_t start = node_.simulation().now();
-        const uint64_t disk0 = store_.stats().disk_time_ns;
-        rpc::Payload data = co_await store_.read(oid, offset, length);
-        const auto disk_ns =
-            static_cast<int64_t>(store_.stats().disk_time_ns - disk0);
-        trace_store_op(ctx, "read", start, 0, data.size(), disk_ns);
-        account_store_op(ctx, data.size(), 0, disk_ns);
-        m_bytes_read_->add(data.size());
-        results.put_payload(data);
-      }
-      co_return;
-    }
-    case IoProc::kWrite: {
-      const uint64_t oid = args.get_u64();
-      const uint64_t offset = args.get_u64();
-      rpc::Payload data = args.get_payload();
-      co_await node_.cpu().execute(
-          config_.cpu_per_request +
-          static_cast<sim::Duration>(config_.cpu_ns_per_byte *
-                                     static_cast<double>(data.size())));
-      m_bytes_written_->add(data.size());
-      const uint64_t len = data.size();
-      const int64_t start = node_.simulation().now();
-      const uint64_t disk0 = store_.stats().disk_time_ns;
-      co_await store_.write(oid, offset, std::move(data), /*stable=*/false);
-      {
-        const auto disk_ns =
-            static_cast<int64_t>(store_.stats().disk_time_ns - disk0);
-        trace_store_op(ctx, "write", start, len, 0, disk_ns);
-        account_store_op(ctx, 0, len, disk_ns);
-      }
-      results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
-      // Buffered write: the verifier tells the client which daemon
-      // incarnation holds the volatile bytes (see protocol.hpp).
-      results.put_u64(boot_verifier_);
-      co_return;
-    }
-    case IoProc::kReadv: {
-      const uint64_t oid = args.get_u64();
-      const uint32_t n = args.get_u32();
-      if (n == 0 || n > (1u << 20)) {
-        results.put_u32(static_cast<uint32_t>(PvfsStatus::kInval));
+  try {
+    switch (proc) {
+      case IoProc::kRead:
+      case IoProc::kReadv: {
+        const ReadArgs a = ReadArgs::decode(proc, args);
+        co_await charge_cpu(a.total_length());
+        results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
+        if (!store_.exists(a.object_id)) {
+          for (size_t i = 0; i < a.regions.size(); ++i) {
+            results.put_payload(rpc::Payload{});
+          }
+          co_return;
+        }
+        // List I/O's disk-side win: one covering span, one disk pass, sliced
+        // per region — instead of one seek-and-read per region.
+        uint64_t lo = UINT64_MAX, hi = 0;
+        for (const IoRegion& r : a.regions) {
+          lo = std::min(lo, r.offset);
+          hi = std::max(hi, r.offset + r.length);
+        }
+        const StoreClock clock = start_store_op();
+        const rpc::Payload span =
+            co_await store_.read(a.object_id, lo, hi - lo);
+        uint64_t out_bytes = 0;
+        for (const IoRegion& r : a.regions) {
+          const uint64_t skip = r.offset - lo;
+          const uint64_t avail =
+              span.size() > skip ? std::min(r.length, span.size() - skip) : 0;
+          out_bytes += avail;
+          results.put_payload(span.slice(skip, avail));
+        }
+        finish_store_op(ctx, proc == IoProc::kRead ? "read" : "readv", clock,
+                        out_bytes, 0);
+        m_bytes_read_->add(out_bytes);
         co_return;
       }
-      std::vector<std::pair<uint64_t, uint64_t>> regions;
-      regions.reserve(n);
-      uint64_t total = 0, lo = UINT64_MAX, hi = 0;
-      for (uint32_t i = 0; i < n; ++i) {
-        const uint64_t off = args.get_u64();
-        const uint64_t len = args.get_u64();
-        regions.emplace_back(off, len);
-        total += len;
-        lo = std::min(lo, off);
-        hi = std::max(hi, off + len);
-      }
-      co_await node_.cpu().execute(
-          config_.cpu_per_request +
-          static_cast<sim::Duration>(config_.cpu_ns_per_byte *
-                                     static_cast<double>(total)));
-      results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
-      if (!store_.exists(oid)) {
-        for (uint32_t i = 0; i < n; ++i) results.put_payload(rpc::Payload{});
+      case IoProc::kWrite:
+      case IoProc::kWritev: {
+        const WriteArgs a = WriteArgs::decode(proc, args);
+        const uint64_t total = a.data.size();
+        co_await charge_cpu(total);
+        m_bytes_written_->add(total);
+        const StoreClock clock = start_store_op();
+        uint64_t pos = 0;
+        for (const IoRegion& r : a.regions) {
+          co_await store_.write(a.object_id, r.offset,
+                                a.data.slice(pos, r.length), /*stable=*/false);
+          pos += r.length;
+        }
+        finish_store_op(ctx, proc == IoProc::kWrite ? "write" : "writev",
+                        clock, 0, total);
+        results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
+        // Buffered write: one verifier tells the client which daemon
+        // incarnation holds the volatile bytes of every region (see
+        // protocol.hpp).
+        results.put_u64(boot_verifier_);
         co_return;
       }
-      // List I/O's disk-side win: one covering span, one disk pass, sliced
-      // per region — instead of one seek-and-read per region.
-      const int64_t start = node_.simulation().now();
-      const uint64_t disk0 = store_.stats().disk_time_ns;
-      rpc::Payload span = co_await store_.read(oid, lo, hi - lo);
-      uint64_t out_bytes = 0;
-      for (const auto& [off, len] : regions) {
-        const uint64_t skip = off - lo;
-        const uint64_t avail =
-            span.size() > skip ? std::min(len, span.size() - skip) : 0;
-        out_bytes += avail;
-        results.put_payload(span.slice(skip, avail));
-      }
-      {
-        const auto disk_ns =
-            static_cast<int64_t>(store_.stats().disk_time_ns - disk0);
-        trace_store_op(ctx, "readv", start, 0, out_bytes, disk_ns);
-        account_store_op(ctx, out_bytes, 0, disk_ns);
-      }
-      m_bytes_read_->add(out_bytes);
-      co_return;
-    }
-    case IoProc::kWritev: {
-      const uint64_t oid = args.get_u64();
-      const uint32_t n = args.get_u32();
-      if (n == 0 || n > (1u << 20)) {
-        results.put_u32(static_cast<uint32_t>(PvfsStatus::kInval));
+      case IoProc::kCommit: {
+        const ObjectArgs a = ObjectArgs::decode(args);
+        m_commits_->inc();
+        co_await charge_cpu(0);
+        const StoreClock clock = start_store_op();
+        co_await store_.commit(a.object_id);
+        // The daemon's bstream fdatasync touches the disk even when the
+        // object is clean (journal/metadata update).
+        const int64_t j0 = node_.simulation().now();
+        co_await node_.disk().io(kJournalPosition, 4096);
+        finish_store_op(ctx, "commit", clock, 0, 0,
+                        node_.simulation().now() - j0);
+        results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
+        // Equal to the verifier of every write it covers iff no restart
+        // intervened (mirrors NFS COMMIT semantics).
+        results.put_u64(boot_verifier_);
         co_return;
       }
-      std::vector<std::pair<uint64_t, uint64_t>> regions;
-      regions.reserve(n);
-      uint64_t total = 0;
-      for (uint32_t i = 0; i < n; ++i) {
-        const uint64_t off = args.get_u64();
-        const uint64_t len = args.get_u64();
-        regions.emplace_back(off, len);
-        total += len;
-      }
-      rpc::Payload data = args.get_payload();
-      if (data.size() != total) {
-        results.put_u32(static_cast<uint32_t>(PvfsStatus::kInval));
+      case IoProc::kGetSize: {
+        const ObjectArgs a = ObjectArgs::decode(args);
+        co_await charge_cpu(0);
+        results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
+        results.put_u64(store_.exists(a.object_id) ? store_.size(a.object_id)
+                                                   : 0);
         co_return;
       }
-      co_await node_.cpu().execute(
-          config_.cpu_per_request +
-          static_cast<sim::Duration>(config_.cpu_ns_per_byte *
-                                     static_cast<double>(total)));
-      m_bytes_written_->add(total);
-      const int64_t start = node_.simulation().now();
-      const uint64_t disk0 = store_.stats().disk_time_ns;
-      uint64_t pos = 0;
-      for (const auto& [off, len] : regions) {
-        co_await store_.write(oid, off, data.slice(pos, len),
-                              /*stable=*/false);
-        pos += len;
+      case IoProc::kRemove: {
+        const ObjectArgs a = ObjectArgs::decode(args);
+        co_await charge_cpu(0);
+        if (store_.exists(a.object_id)) store_.remove(a.object_id);
+        results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
+        co_return;
       }
-      {
-        const auto disk_ns =
-            static_cast<int64_t>(store_.stats().disk_time_ns - disk0);
-        trace_store_op(ctx, "writev", start, total, 0, disk_ns);
-        account_store_op(ctx, 0, total, disk_ns);
+      case IoProc::kCreate: {
+        const ObjectArgs a = ObjectArgs::decode(args);
+        co_await charge_cpu(0);
+        if (!store_.exists(a.object_id)) store_.create(a.object_id);
+        // Creating a dfile is a synchronous metadata update on the daemon.
+        co_await node_.disk().io(kJournalPosition, 4096);
+        results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
+        co_return;
       }
-      results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
-      // One verifier covers every region: they live or die with this
-      // daemon incarnation together (see protocol.hpp).
-      results.put_u64(boot_verifier_);
-      co_return;
-    }
-    case IoProc::kCommit: {
-      const uint64_t oid = args.get_u64();
-      m_commits_->inc();
-      co_await node_.cpu().execute(config_.cpu_per_request);
-      const int64_t start = node_.simulation().now();
-      const uint64_t disk0 = store_.stats().disk_time_ns;
-      co_await store_.commit(oid);
-      // The daemon's bstream fdatasync touches the disk even when the
-      // object is clean (journal/metadata update).
-      const int64_t j0 = node_.simulation().now();
-      co_await node_.disk().io(kJournalPosition, 4096);
-      {
-        const int64_t disk_ns =
-            static_cast<int64_t>(store_.stats().disk_time_ns - disk0) +
-            (node_.simulation().now() - j0);
-        trace_store_op(ctx, "commit", start, 0, 0, disk_ns);
-        account_store_op(ctx, 0, 0, disk_ns);
+      case IoProc::kTruncate: {
+        const TruncateArgs a = TruncateArgs::decode(args);
+        co_await charge_cpu(0);
+        if (!store_.exists(a.object_id)) store_.create(a.object_id);
+        store_.truncate(a.object_id, a.size);
+        results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
+        co_return;
       }
-      results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
-      // Equal to the verifier of every kWrite it covers iff no restart
-      // intervened (mirrors NFS COMMIT semantics).
-      results.put_u64(boot_verifier_);
-      co_return;
     }
-    case IoProc::kGetSize: {
-      const uint64_t oid = args.get_u64();
-      co_await node_.cpu().execute(config_.cpu_per_request);
-      results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
-      results.put_u64(store_.exists(oid) ? store_.size(oid) : 0);
-      co_return;
-    }
-    case IoProc::kRemove: {
-      const uint64_t oid = args.get_u64();
-      co_await node_.cpu().execute(config_.cpu_per_request);
-      if (store_.exists(oid)) store_.remove(oid);
-      results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
-      co_return;
-    }
-    case IoProc::kCreate: {
-      const uint64_t oid = args.get_u64();
-      co_await node_.cpu().execute(config_.cpu_per_request);
-      if (!store_.exists(oid)) store_.create(oid);
-      // Creating a dfile is a synchronous metadata update on the daemon.
-      co_await node_.disk().io(kJournalPosition, 4096);
-      results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
-      co_return;
-    }
-    case IoProc::kTruncate: {
-      const uint64_t oid = args.get_u64();
-      const uint64_t size = args.get_u64();
-      co_await node_.cpu().execute(config_.cpu_per_request);
-      if (!store_.exists(oid)) store_.create(oid);
-      store_.truncate(oid, size);
-      results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
-      co_return;
-    }
+  } catch (const PvfsError& e) {
+    // A malformed region list (the codec's kInval): status only.
+    results.put_u32(static_cast<uint32_t>(e.status()));
+    co_return;
   }
   results.put_u32(static_cast<uint32_t>(PvfsStatus::kInval));
 }

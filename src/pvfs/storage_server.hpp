@@ -54,18 +54,24 @@ class PvfsStorageServer {
   /// committed data) survives.
   void check_restart(sim::Time now);
 
-  /// Records a kInternal "store/<op>" span under the request's server span
-  /// so the critical-path analyzer can attribute daemon disk time (the
-  /// `disk_ns` share of [start, now]) instead of folding it into CPU.
-  void trace_store_op(const rpc::CallContext& ctx, const char* op,
-                      int64_t start, uint64_t bytes_in, uint64_t bytes_out,
-                      int64_t disk_ns) const;
+  /// The per-request CPU charge: fixed overhead plus a per-byte copy cost.
+  sim::Task<void> charge_cpu(uint64_t bytes);
 
-  /// Charges the request's tenant (from the propagated call header) with the
-  /// daemon-side data bytes and disk time of one store operation.  No-op
-  /// when the fabric carries no tenant ledger.
-  void account_store_op(const rpc::CallContext& ctx, uint64_t read_bytes,
-                        uint64_t write_bytes, int64_t disk_ns) const;
+  /// When a store operation began, and the store's disk time by then.
+  struct StoreClock {
+    int64_t start = 0;
+    uint64_t disk_ns = 0;
+  };
+  StoreClock start_store_op() const;
+  /// Ends the store operation begun at `clock`.  Records a kInternal
+  /// "store/<op>" span under the request's server span, so the
+  /// critical-path analyzer can attribute daemon disk time instead of
+  /// folding it into CPU, and charges the request's tenant (from the
+  /// propagated call header) with the daemon-side data bytes and disk time.
+  /// `extra_disk_ns` adds disk time spent outside the store.
+  void finish_store_op(const rpc::CallContext& ctx, const char* op,
+                       StoreClock clock, uint64_t read_bytes,
+                       uint64_t write_bytes, int64_t extra_disk_ns = 0) const;
 
   rpc::RpcFabric& fabric_;
   sim::Node& node_;

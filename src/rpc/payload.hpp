@@ -211,4 +211,16 @@ class Payload {
   mutable std::vector<Fragment> frags_;
 };
 
+/// Pads a short read with `missing` zero bytes: real ones after inline
+/// content or none at all (a hole read on its own), a virtual run after
+/// virtual content.
+inline void zero_fill(Payload& p, uint64_t missing) {
+  if (p.size() == 0 || p.is_inline()) {
+    p.append(Payload::inline_bytes(
+        std::vector<std::byte>(missing, std::byte{0})));
+  } else {
+    p.append(Payload::virtual_bytes(missing));
+  }
+}
+
 }  // namespace dpnfs::rpc

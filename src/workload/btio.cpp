@@ -16,11 +16,6 @@ Task<void> BtioWorkload::client_main(core::Deployment& d, size_t client) {
   const uint64_t n_clients = d.client_count();
   const uint32_t checkpoints = config_.time_steps / config_.checkpoint_every;
   const uint64_t checkpoint_bytes = config_.file_bytes / checkpoints;
-  const uint64_t base_share = checkpoint_bytes / n_clients;
-  // The last rank absorbs the rounding remainder so the file is complete.
-  const uint64_t my_share = (client == n_clients - 1)
-                                ? checkpoint_bytes - base_share * (n_clients - 1)
-                                : base_share;
   const sim::Duration compute_per_step =
       config_.compute_total / config_.time_steps / static_cast<int64_t>(n_clients);
 
@@ -30,9 +25,18 @@ Task<void> BtioWorkload::client_main(core::Deployment& d, size_t client) {
     co_await d.simulation().delay(compute_per_step);
     if (step % config_.checkpoint_every != 0) continue;
     // Collective buffering: each rank writes one contiguous >= 1 MB chunk.
-    const uint64_t base =
-        static_cast<uint64_t>(checkpoint) * checkpoint_bytes + client * base_share;
-    co_await f->write(base, Payload::virtual_bytes(my_share));
+    // The last checkpoint and, within each, the last rank absorb the
+    // rounding remainders so the file is complete.
+    const uint64_t start = static_cast<uint64_t>(checkpoint) * checkpoint_bytes;
+    const uint64_t bytes = checkpoint == checkpoints - 1
+                               ? config_.file_bytes - start
+                               : checkpoint_bytes;
+    const uint64_t base_share = bytes / n_clients;
+    const uint64_t my_share = client == n_clients - 1
+                                  ? bytes - base_share * (n_clients - 1)
+                                  : base_share;
+    co_await f->write(start + client * base_share,
+                      Payload::virtual_bytes(my_share));
     ++checkpoint;
   }
   co_await f->fsync();

@@ -204,6 +204,29 @@ TEST(PvfsEndToEnd, CrossStripeContentIntegrity) {
   }(f));
 }
 
+TEST(PvfsEndToEnd, SparseFileReadsBackHoleAsZeros) {
+  // The middle stripe's dfile holds no bytes: its region comes back empty
+  // and must read as real zeros, keeping the whole read inline.
+  PvfsCluster f(64_KiB);
+  f.run([](PvfsCluster& f) -> Task<void> {
+    auto file = co_await f.client->create("/sparse");
+    const auto filled = [](char c) {
+      return Payload::inline_bytes(
+          std::vector<std::byte>(64_KiB, static_cast<std::byte>(c)));
+    };
+    co_await f.client->write(file, 0, filled('A'));
+    co_await f.client->write(file, 128_KiB, filled('B'));
+    Payload p = co_await f.client->read(file, 0, 192_KiB);
+    EXPECT_EQ(p.size(), 192_KiB);
+    EXPECT_TRUE(p.is_inline());
+    Payload expected = filled('A');
+    expected.append(filled('\0'));
+    expected.append(filled('B'));
+    EXPECT_EQ(p, expected);
+    co_await f.client->close(file);
+  }(f));
+}
+
 TEST(PvfsEndToEnd, NamespaceOperations) {
   PvfsCluster f;
   f.run([](PvfsCluster& f) -> Task<void> {

@@ -4,10 +4,18 @@
 // a real deployment) fails here first.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
+#include "lfs/object_store.hpp"
 #include "nfs/ops.hpp"
+#include "pvfs/client.hpp"
+#include "pvfs/storage_server.hpp"
 #include "rpc/message.hpp"
+#include "sim/network.hpp"
 
 namespace dpnfs {
 namespace {
@@ -378,6 +386,256 @@ TEST(WireGolden, OpenArgsAndRes) {
             "0000000000000002"     // change 2
             "0000000000000000"     // mtime
             "00000001");           // read delegation
+}
+
+// ---------------------------------------------------------------------------
+// PVFS storage-daemon protocol: the data procedures' argument bytes as a
+// PvfsClient sends them, and a real daemon's reply bytes to the same
+// requests.
+// ---------------------------------------------------------------------------
+
+std::vector<std::byte> unhex(std::string_view s) {
+  std::vector<std::byte> out;
+  for (size_t i = 0; i + 1 < s.size(); i += 2) {
+    out.push_back(static_cast<std::byte>(
+        std::stoi(std::string(s.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+/// The rest of `dec` as hex.
+std::string rest_hex(rpc::XdrDecoder& dec) {
+  return hex(dec.get_opaque_fixed(dec.remaining()));
+}
+
+using pvfs::IoProc;
+using PvfsRequest = std::pair<IoProc, std::string>;  // procedure, args hex
+
+// Dfiles 0x42 and 0x43 of a 4-byte-stripe file, both on daemon 0.
+constexpr std::string_view kReadOne =   // kRead 0x42 [0, 4)
+    "0000000000000042"  // object id
+    "0000000000000000"  // offset
+    "0000000000000004"; // length
+constexpr std::string_view kReadvTwo =  // kReadv 0x42 [0, 4) [4, 8)
+    "0000000000000042"  // object id
+    "00000002"          // 2 regions
+    "0000000000000000" "0000000000000004"   // region 0: offset, length
+    "0000000000000004" "0000000000000004";  // region 1: offset, length
+constexpr std::string_view kWriteInline =  // kWrite 0x42 "abcd" at 0
+    "0000000000000042"  // object id
+    "0000000000000000"  // offset (the length is the payload's)
+    "00000001"          // payload: inline discriminant
+    "00000004"          // length 4
+    "61626364";         // "abcd"
+constexpr std::string_view kWritevInline =  // kWritev 0x42 "abcd" "ijkl"
+    "0000000000000042"  // object id
+    "00000002"          // 2 regions
+    "0000000000000000" "0000000000000004"  // region 0: offset, length
+    "0000000000000004" "0000000000000004"  // region 1: offset, length
+    "00000001"          // payload: inline discriminant
+    "00000008"          // 8 bytes: the regions' data concatenated
+    "61626364696a6b6c";
+constexpr std::string_view kWriteVirtual =  // kWrite 0x42, 4 virtual bytes
+    "0000000000000042"  // object id
+    "0000000000000000"  // offset
+    "00000000"          // payload: virtual discriminant
+    "0000000000000004"; // 4 bytes, not materialized
+constexpr std::string_view kWritevVirtual =  // kWritev 0x42, 8 virtual bytes
+    "0000000000000042"  // object id
+    "00000002"          // 2 regions
+    "0000000000000000" "0000000000000004"  // region 0: offset, length
+    "0000000000000004" "0000000000000004"  // region 1: offset, length
+    "00000000"          // payload: virtual discriminant
+    "0000000000000008"; // 8 bytes, not materialized
+constexpr std::string_view kObject42 = "0000000000000042";  // kCommit, kGetSize
+constexpr std::string_view kTruncate42 =  // kTruncate 0x42 to 4 bytes
+    "0000000000000042"   // object id
+    "0000000000000004";  // dfile size
+
+/// A stand-in storage daemon that records every request's procedure and
+/// argument bytes and answers with the smallest successful reply, so a
+/// real PvfsClient can be driven through each data procedure.
+sim::Task<void> capture_request(std::vector<PvfsRequest>& requests,
+                                const rpc::CallContext& ctx,
+                                rpc::XdrDecoder& args,
+                                rpc::XdrEncoder& results) {
+  const auto proc = static_cast<IoProc>(ctx.header.proc);
+  const std::vector<std::byte> raw = args.get_opaque_fixed(args.remaining());
+  requests.emplace_back(proc, hex(raw));
+  results.put_u32(0);  // PVFS_OK
+  switch (proc) {
+    case IoProc::kRead:
+      results.put_payload(rpc::Payload{});
+      break;
+    case IoProc::kReadv: {
+      rpc::XdrDecoder dec(raw);
+      (void)dec.get_u64();
+      for (uint32_t n = dec.get_u32(); n > 0; --n) {
+        results.put_payload(rpc::Payload{});
+      }
+      break;
+    }
+    case IoProc::kWrite:
+    case IoProc::kWritev:
+    case IoProc::kCommit:
+      results.put_u64(0x5EED);  // one boot verifier throughout
+      break;
+    case IoProc::kGetSize:
+      results.put_u64(0);
+      break;
+    default:
+      break;
+  }
+  co_return;
+}
+
+struct PvfsWireRig {
+  sim::Simulation sim;
+  sim::Network net{sim};
+  rpc::RpcFabric fabric{net};
+  sim::Node& daemon_node = net.add_node(sim::NodeParams{
+      .name = "io0", .nic = {}, .disk = sim::DiskParams{}, .cpu = {}});
+  sim::Node& client_node = net.add_node(sim::NodeParams{
+      .name = "client", .nic = {}, .disk = std::nullopt, .cpu = {}});
+};
+
+TEST(WireGolden, PvfsClientDataRequests) {
+  PvfsWireRig rig;
+  std::vector<PvfsRequest> requests;
+  rpc::RpcServer daemon(
+      rig.fabric, rig.daemon_node, rpc::kPvfsIoPort, 1,
+      [&requests](const rpc::CallContext& ctx, rpc::XdrDecoder& args,
+                  rpc::XdrEncoder& results) {
+        return capture_request(requests, ctx, args, results);
+      });
+  daemon.start();
+  pvfs::PvfsClient client(rig.fabric, rig.client_node, daemon.address(),
+                          {daemon.address()}, "tester@SIM");
+  auto file = std::make_shared<pvfs::PvfsFile>();
+  file->meta.handle = 1;
+  file->meta.stripe_unit = 4;
+  file->meta.dfiles = {pvfs::DfileRef{0, 0x42}, pvfs::DfileRef{0, 0x43}};
+  file->size = 16;
+  rig.sim.spawn([](pvfs::PvfsClient& c,
+                   pvfs::PvfsFilePtr f) -> sim::Task<void> {
+    (void)co_await c.read(f, 0, 4);
+    (void)co_await c.read(f, 0, 16);
+    co_await c.write(f, 0, rpc::Payload::from_string("abcd"));
+    co_await c.write(f, 0, rpc::Payload::from_string("abcdefghijklmnop"));
+    co_await c.write(f, 0, rpc::Payload::virtual_bytes(4));
+    co_await c.write(f, 0, rpc::Payload::virtual_bytes(16));
+    co_await c.fsync(f);
+    (void)co_await c.fetch_size(f);
+    co_await c.truncate(f, 6);
+  }(client, file));
+  rig.sim.run();
+
+  const auto on_43 = [](std::string_view on_42) {
+    std::string s(on_42);
+    s[15] = '3';  // object id 0x42 -> 0x43
+    return s;
+  };
+  const std::vector<PvfsRequest> expected = {
+      // A single region travels in the classic kRead/kWrite layout; two
+      // or more as a kReadv/kWritev region list.
+      {IoProc::kRead, std::string(kReadOne)},
+      {IoProc::kReadv, std::string(kReadvTwo)},
+      {IoProc::kReadv, on_43(kReadvTwo)},
+      {IoProc::kWrite, std::string(kWriteInline)},
+      {IoProc::kWritev, std::string(kWritevInline)},
+      {IoProc::kWritev, "0000000000000043"
+                        "00000002"
+                        "0000000000000000" "0000000000000004"
+                        "0000000000000004" "0000000000000004"
+                        "00000001"
+                        "00000008"
+                        "656667686d6e6f70"},  // "efgh" "mnop"
+      {IoProc::kWrite, std::string(kWriteVirtual)},
+      {IoProc::kWritev, std::string(kWritevVirtual)},
+      {IoProc::kWritev, on_43(kWritevVirtual)},
+      {IoProc::kCommit, std::string(kObject42)},
+      {IoProc::kCommit, on_43(kObject42)},
+      {IoProc::kGetSize, std::string(kObject42)},
+      {IoProc::kGetSize, on_43(kObject42)},
+      // Size 6 over two 4-byte-stripe dfiles: 4 bytes on 0x42, 2 on 0x43.
+      {IoProc::kTruncate, std::string(kTruncate42)},
+      {IoProc::kTruncate, "0000000000000043"
+                          "0000000000000002"},
+  };
+  ASSERT_EQ(requests.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(requests[i].first, expected[i].first) << "request " << i;
+    EXPECT_EQ(requests[i].second, expected[i].second) << "request " << i;
+  }
+}
+
+TEST(WireGolden, PvfsStorageDaemonReplies) {
+  // The golden requests above, sent to a real daemon: its reply bytes
+  // after the RPC header.  A list reply is a status then one payload per
+  // region (kReadv) or one verifier for every region (kWritev).
+  PvfsWireRig rig;
+  lfs::ObjectStore store(rig.daemon_node);
+  pvfs::PvfsStorageServer daemon(rig.fabric, rig.daemon_node,
+                                 rpc::kPvfsIoPort, store);
+  daemon.start();
+  rpc::RpcClient rpc(rig.fabric, rig.client_node, "tester@SIM");
+  std::vector<std::string> replies;
+  const std::vector<std::pair<IoProc, std::string>> requests = {
+      {IoProc::kWritev, std::string(kWritevInline)},
+      {IoProc::kRead, std::string(kReadOne)},
+      {IoProc::kReadv, std::string(kReadvTwo)},
+      {IoProc::kWrite, std::string(kWriteInline)},
+      {IoProc::kGetSize, std::string(kObject42)},
+      {IoProc::kCommit, std::string(kObject42)},
+      {IoProc::kTruncate, std::string(kTruncate42)},
+      {IoProc::kReadv, std::string(kReadvTwo)},     // region 1 now past EOF
+      {IoProc::kRead, "0000000000000043"            // no such object
+                      "0000000000000000"
+                      "0000000000000004"},
+      {IoProc::kWrite, std::string(kWriteVirtual)},
+      {IoProc::kWritev, std::string(kWritevVirtual)},
+      {IoProc::kReadv, "0000000000000042"           // empty region list
+                       "00000000"},
+  };
+  rig.sim.spawn([](rpc::RpcClient& rpc, rpc::RpcAddress to,
+                   const std::vector<std::pair<IoProc, std::string>>& reqs,
+                   std::vector<std::string>& out) -> sim::Task<void> {
+    for (const auto& [proc, args_hex] : reqs) {
+      rpc::XdrEncoder args;
+      args.put_opaque_fixed(unhex(args_hex));
+      auto reply = co_await rpc.call(to, rpc::Program::kPvfsIo, 2,
+                                     static_cast<uint32_t>(proc),
+                                     std::move(args));
+      EXPECT_TRUE(reply.ok());
+      auto body = reply.body();
+      out.push_back(rest_hex(body));
+    }
+  }(rpc, daemon.address(), requests, replies));
+  rig.sim.run();
+
+  // No fault injector: the verifier is the node/port-derived constant.
+  const std::string verifier = "9e3779b97f4a7112";
+  const std::vector<std::string> expected = {
+      "00000000" + verifier,                  // kWritev: status, verifier
+      "00000000"                              // kRead: status
+      "00000001" "00000004" "61626364",       //   inline "abcd"
+      "00000000"                              // kReadv: status
+      "00000001" "00000004" "61626364"        //   region 0 "abcd"
+      "00000001" "00000004" "696a6b6c",       //   region 1 "ijkl"
+      "00000000" + verifier,                  // kWrite: status, verifier
+      "00000000" "0000000000000008",          // kGetSize: 8 bytes
+      "00000000" + verifier,                  // kCommit: status, verifier
+      "00000000",                             // kTruncate
+      "00000000"                              // kReadv after truncate:
+      "00000001" "00000004" "61626364"        //   region 0 "abcd"
+      "00000001" "00000000",                  //   region 1 empty
+      "00000000"                              // kRead of a missing object:
+      "00000000" "0000000000000000",          //   an empty virtual payload
+      "00000000" + verifier,                  // kWrite (virtual)
+      "00000000" + verifier,                  // kWritev (virtual)
+      "00000016",                             // PVFS_EINVAL, nothing else
+  };
+  EXPECT_EQ(replies, expected);
 }
 
 }  // namespace

@@ -69,25 +69,29 @@ TEST(AtlasProperties, IssueOrderIsShuffledButDeterministic) {
 }
 
 TEST(BtioProperties, CheckpointFileIsCompleteForAwkwardClientCounts) {
-  // 9 clients do not divide the checkpoint evenly; the last rank must
-  // absorb the remainder so verification sees a complete file.
-  Deployment d(tiny(Architecture::kDirectPnfs, 3));
-  BtioConfig cfg;
-  cfg.file_bytes = 10'000'000;  // not divisible by 3
-  cfg.time_steps = 10;
-  cfg.checkpoint_every = 5;
-  cfg.compute_total = sim::sec(1);
-  BtioWorkload w(cfg);
-  const RunResult r = run_workload(d, w);  // throws on a short file
-  EXPECT_GT(r.elapsed_seconds, 0.0);
+  // 3 clients do not divide the checkpoint evenly, and an odd file size
+  // does not divide into its 2 checkpoints: the last rank absorbs the rank
+  // remainder and the last checkpoint the checkpoint remainder, so
+  // verification sees a complete file.
+  for (const uint64_t file_bytes : {10'000'000ull, 10'000'001ull}) {
+    SCOPED_TRACE(file_bytes);
+    Deployment d(tiny(Architecture::kDirectPnfs, 3));
+    BtioConfig cfg;
+    cfg.file_bytes = file_bytes;
+    cfg.time_steps = 10;
+    cfg.checkpoint_every = 5;
+    cfg.compute_total = sim::sec(1);
+    BtioWorkload w(cfg);
+    const RunResult r = run_workload(d, w);  // throws on a short file
+    EXPECT_GT(r.elapsed_seconds, 0.0);
 
-  bool checked = false;
-  d.simulation().spawn([](Deployment& d, bool& checked) -> sim::Task<void> {
-    EXPECT_EQ(co_await d.client(0).stat_size("/btio/out"), 10'000'000u);
-    checked = true;
-  }(d, checked));
-  d.simulation().run();
-  EXPECT_TRUE(checked);
+    uint64_t size = 0;
+    d.simulation().spawn([](Deployment& d, uint64_t& size) -> sim::Task<void> {
+      size = co_await d.client(0).stat_size("/btio/out");
+    }(d, size));
+    d.simulation().run();
+    EXPECT_EQ(size, file_bytes);
+  }
 }
 
 TEST(StridedProperties, RecordsTileTheFileDenselyAndDeterministically) {

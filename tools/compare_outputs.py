@@ -4,7 +4,8 @@
 Runs a fixed list of `simulate` recipes (fault-free IOR writes and reads,
 data-server crashes, revives and restarts, mirror and erasure-coded kills
 and transient outages, and seeded chaos storms, each on all five
-architectures where it applies) through each tree's
+architectures where it applies, plus native-PVFS list I/O with and
+without a daemon restart) through each tree's
 `build/examples/simulate`, and byte-compares per recipe the exit code,
 stdout, the `--metrics-out` document and the `--flight-out` dump.  Then it
 runs each tree's full `bench_fig6_write` and `bench_fig7_read` and compares
@@ -129,6 +130,17 @@ RECIPES += [
     ("chaos-oltp", ["--workload=oltp", *SMALL, "--txns=600", "--chaos-seed=8"]),
     ("chaos-strided", ["--workload=strided", *SMALL, "--chaos-seed=9"]),
 ]
+# Native PVFS with 16 MiB blocks: several stripes of one dfile per request,
+# so the client sends list I/O (kReadv, kWritev), and a daemon restart
+# makes it replay its retained extents as list writes.
+for _wl in ("ior-write", "ior-read"):
+    RECIPES.append((f"pvfs-listio-{_wl}",
+                    ["--arch=pvfs", f"--workload={_wl}", *SMALL,
+                     "--block=16777216"]))
+    RECIPES.append((f"pvfs-listio-restart-{_wl}",
+                    ["--arch=pvfs", f"--workload={_wl}", *SMALL,
+                     "--block=16777216", "--fault-ds-restart=1",
+                     "--fault-at-ms=300"]))
 
 BENCHES = [("bench_fig6_write", "BENCH_fig6_write.json"),
            ("bench_fig7_read", "BENCH_fig7_read.json")]
