@@ -49,13 +49,6 @@ bool flag(int argc, char** argv, const char* key) {
   return false;
 }
 
-bool write_text_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  return std::fclose(f) == 0 && n == body.size();
-}
-
 core::Architecture parse_arch(const std::string& s) {
   if (s == "direct") return core::Architecture::kDirectPnfs;
   if (s == "pvfs") return core::Architecture::kNativePvfs;
@@ -150,7 +143,7 @@ int run_simulation(int argc, char** argv) {
         "tenant (IOR write) and an OLTP tenant (defaults --tenants=2 so\n"
         "tenant1=ingest, tenant2=OLTP; see EXPERIMENTS.md).\n"
         "--metrics-out=FILE writes the full metrics JSON document\n"
-        "(Deployment::metrics_json — nodes, trace, slo, tenants, health,\n"
+        "(RunObserver::metrics_json — nodes, trace, slo, tenants, health,\n"
         "timeseries) to FILE, like --trace-out does for the span timeline.\n"
         "--flight-out=FILE dumps the flight recorder (bounded ring of\n"
         "restart/recovery/breaker/replay events plus WARN+ log lines) as\n"
@@ -518,7 +511,7 @@ int run_simulation(int argc, char** argv) {
   }
   if (flag(argc, argv, "--verbose")) {
     std::printf("\nper-node traffic:\n");
-    d.print_traffic_report();
+    d.observer().print_traffic_report();
   }
   if (breakdown) {
     obs::BreakdownReport rep = obs::analyze_all(d.tracer());
@@ -527,7 +520,7 @@ int run_simulation(int argc, char** argv) {
                 rep.to_json(core::architecture_name(cfg.architecture)).c_str());
   }
   if (!trace_out.empty()) {
-    if (!d.write_trace(trace_out)) {
+    if (!obs::write_file(trace_out, d.observer().trace_json())) {
       std::fprintf(stderr, "failed to write trace to '%s'\n",
                    trace_out.c_str());
       return 1;
@@ -544,7 +537,7 @@ int run_simulation(int argc, char** argv) {
                     d.tenant_ledger().tenants_evicted()));
   }
   if (!metrics_out.empty()) {
-    if (!write_text_file(metrics_out, d.metrics_json())) {
+    if (!obs::write_file(metrics_out, d.observer().metrics_json())) {
       std::fprintf(stderr, "failed to write metrics to '%s'\n",
                    metrics_out.c_str());
       return 1;
@@ -552,7 +545,7 @@ int run_simulation(int argc, char** argv) {
     std::printf("metrics document  %s\n", metrics_out.c_str());
   }
   if (!flight_out.empty()) {
-    if (!d.write_flight(flight_out)) {
+    if (!obs::write_file(flight_out, d.flight().to_json())) {
       std::fprintf(stderr, "failed to write flight dump to '%s'\n",
                    flight_out.c_str());
       return 1;

@@ -16,14 +16,15 @@
 //   kPlainNfs    — one NFSv4 server exporting the PVFS client; no pNFS.
 #pragma once
 
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/adapters.hpp"
 #include "core/aggregation_drivers.hpp"
 #include "core/conduit_backend.hpp"
+#include "core/observer.hpp"
 #include "core/pvfs_backend.hpp"
 #include "core/translator.hpp"
 #include "lfs/object_store.hpp"
@@ -36,7 +37,6 @@
 #include "sim/fault.hpp"
 #include "util/flight.hpp"
 #include "util/log.hpp"
-#include "util/obs_analysis.hpp"
 #include "util/tenant.hpp"
 
 namespace dpnfs::core {
@@ -120,7 +120,7 @@ struct ClusterConfig {
 
   /// Simulated-time interval between utilization samples once
   /// `start_sampling()` runs (run_workload starts/stops it around the timed
-  /// phase).  0 disables sampling.
+  /// phase).  0 disables sampling.  See RunObserver.
   sim::Duration sample_interval = sim::ms(100);
   /// Span-detail retention for the tracer (hop *accounting* is always
   /// exact).  Raise it when exporting full timelines (`--trace-out`).
@@ -142,16 +142,6 @@ struct ClusterConfig {
   /// round-robin by client index.  0 disables tenant stamping entirely —
   /// the wire stays byte-identical to the pre-tenant layout.
   uint32_t tenants = 0;
-  /// Capacity of the Space-Saving heavy-hitter tracker behind per-tenant
-  /// accounting: memory stays O(tenant_topk) at thousands of tenants, and
-  /// counts are exact while distinct tenants fit.
-  uint32_t tenant_topk = 64;
-  /// Bounded structured-event ring (recovery ladder, restarts, WARN+ log
-  /// lines) dumped as JSON on faults or on demand.
-  size_t flight_capacity = 4096;
-  /// Per-node RPC queue depth (summed over the daemons a node hosts) at or
-  /// above which the health evaluator reports the node "degraded".
-  size_t health_queue_threshold = 64;
 
   uint64_t stripe_unit = 2ull << 20;
 
@@ -194,7 +184,8 @@ struct ClusterConfig {
 };
 
 /// One assembled cluster: simulation, nodes, servers, and per-client-node
-/// FileSystemClient handles.
+/// FileSystemClient handles, plus the instruments the daemons write into.
+/// Sampling, health and exports live in `observer()`.
 class Deployment {
  public:
   explicit Deployment(ClusterConfig config);
@@ -226,9 +217,6 @@ class Deployment {
   uint64_t server_tx_bytes() const;
   uint64_t server_rx_bytes() const;
 
-  /// Prints a per-node traffic/disk table (bench `--verbose` support).
-  void print_traffic_report() const;
-
   /// Per-node metric registry; every RPC server/client in the deployment
   /// resolved its counter handles from this at construction.
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
@@ -238,50 +226,23 @@ class Deployment {
 
   /// Deployment-global per-tenant resource ledger (always on; traffic with
   /// no tenant is exported under "none", so per-tenant sums equal the
-  /// aggregate counters exactly while nothing has been evicted).
+  /// aggregate counters exactly while nothing has been evicted).  It keeps
+  /// the 64 heaviest tenants exactly (util::TopK).
   obs::TenantLedger& tenant_ledger() noexcept { return tenants_ledger_; }
   const obs::TenantLedger& tenant_ledger() const noexcept {
     return tenants_ledger_;
   }
 
-  /// Flight recorder: bounded ring of recovery-ladder events, restarts,
-  /// breaker trips, replay, grace transitions, and WARN+ log lines.
+  /// Flight recorder: bounded ring (4096 events) of recovery-ladder events,
+  /// restarts, breaker trips, replay, grace transitions, and WARN+ log
+  /// lines; `flight().to_json()` is the dump.
   obs::FlightRecorder& flight() noexcept { return flight_; }
   const obs::FlightRecorder& flight() const noexcept { return flight_; }
-  std::string flight_json() { return flight_.to_json(); }
-  /// Writes `flight_json()` to `path`; false on I/O failure.
-  bool write_flight(const std::string& path);
 
-  /// Folds queue/restart/breaker/fault-injection signals into per-node
-  /// `ok|degraded|critical` states and returns the JSON "health" section
-  /// (also embedded in `metrics_json`; the sampler adds a per-node numeric
-  /// 0/1/2 "health" series to the timeseries).
-  std::string health_json();
-
-  /// Full observability export: architecture, per-node metrics (with NIC
-  /// and object-store snapshots folded in as "node" gauges — this is what
-  /// carries per-storage-node bytes even for Direct-pNFS, whose data path
-  /// bypasses the PVFS I/O daemons), the trace aggregate, and — when the
-  /// sampler ran — the utilization time series.
-  std::string metrics_json();
-
-  /// Starts the periodic utilization sampler (NIC/disk utilization, RPC
-  /// queue depths, dirty bytes) on `config().sample_interval`.  Must run
-  /// while the simulation is live; call `stop_sampling()` before expecting
-  /// `Simulation::run()` to drain, or the sampler keeps the event queue
-  /// alive forever.
-  void start_sampling();
-  void stop_sampling();
-  const obs::TimeSeries& samples() const noexcept { return samples_; }
-
-  /// Chrome/Perfetto trace_event JSON of all retained spans plus sampled
-  /// counter tracks; load in ui.perfetto.dev.
-  std::string trace_json();
-  /// Writes `trace_json()` to `path`; false on I/O failure.
-  bool write_trace(const std::string& path);
-
-  /// Human-readable per-node metric + trace report.
-  void print_metrics_report();
+  /// The run's sampler, health rules and exports.
+  RunObserver& observer() noexcept { return observer_; }
+  void start_sampling() { observer_.start_sampling(); }
+  void stop_sampling() { observer_.stop_sampling(); }
 
   /// The Direct-pNFS layout translator (null for other architectures).
   LayoutTranslator* translator() noexcept { return translator_.get(); }
@@ -302,36 +263,38 @@ class Deployment {
   }
 
  private:
+  friend class RunObserver;
+
+  /// Storage nodes, their object stores and PVFS daemons, and the metadata
+  /// manager (plus the rebuild service) on storage node 0.
   void build_backend_cluster(uint32_t storage_count, double disk_scale);
-  void build_direct_pnfs();
-  void build_native_pvfs();
-  void build_pnfs_2tier();
-  void build_pnfs_3tier();
-  void build_plain_nfs();
+  /// Data servers on every storage node, serving stripe objects directly.
+  rpc::RpcAddress build_direct_pnfs();
+  /// Data servers that proxy the whole file system through PVFS clients.
+  rpc::RpcAddress build_proxied_pnfs();
+  /// A pNFS data server on `node` exporting `exported`; appends its device.
+  void start_data_server(sim::Node& node, nfs::Backend& exported,
+                         std::vector<nfs::DeviceEntry>& devices);
+  /// The NFS server in front of the whole file system on `node`: a PVFS
+  /// client and backend, the layout source for `devices` (none without
+  /// pNFS), and the server on `port`.  Returns its address.
+  rpc::RpcAddress start_mds(sim::Node& node, const std::string& who,
+                            uint16_t port,
+                            const std::vector<nfs::DeviceEntry>& devices);
+  /// The client nodes, last: NFS clients of `mds`, or native PVFS clients
+  /// when there is none.
+  void add_clients(std::optional<rpc::RpcAddress> mds);
+  /// Starts `daemon` and adds it to the observer's daemon table.
+  template <typename Daemon>
+  Daemon& start(Daemon& daemon);
 
-  sim::Node& add_client_node(const std::string& name);
+  sim::Node& add_server_node(const std::string& name);
   std::vector<rpc::RpcAddress> storage_addresses() const;
-  std::unique_ptr<pvfs::PvfsClient> make_pvfs_client(sim::Node& node,
-                                                     const std::string& who,
-                                                     bool proxy,
-                                                     uint32_t tenant = 0);
-  void add_nfs_clients(rpc::RpcAddress mds, bool pnfs_enabled);
-
-  /// Folds current NIC/disk/object-store totals into "node" gauges so
-  /// exports see resource usage regardless of which software path moved
-  /// the bytes.
-  void snapshot_resource_gauges();
-
-  /// Per-node RPC queue depth, summed over the daemons each node hosts.
-  std::map<std::string, double> rpc_queue_depths();
-
-  /// Re-evaluates per-node health states from the current signals.
-  void evaluate_health();
-
-  sim::Task<void> sampler_loop();
-
-  /// config_.nfs_server with the MDS grace window applied.
-  nfs::ServerConfig mds_server_config() const;
+  std::unique_ptr<pvfs::PvfsClient> make_pvfs_client(
+      sim::Node& node, const std::string& who,
+      const pvfs::PvfsClientConfig& cfg);
+  /// config_.pvfs_client for an NFS server re-exporting the file system.
+  pvfs::PvfsClientConfig proxy_client_config() const;
 
   ClusterConfig config_;
   sim::Simulation sim_;
@@ -342,23 +305,11 @@ class Deployment {
   obs::TenantLedger tenants_ledger_;
   obs::FlightRecorder flight_;
   rpc::RpcFabric fabric_;
-  obs::TimeSeries samples_;
-  bool sampling_ = false;
-  bool sampler_stop_ = false;
+  RunObserver observer_{*this};
   util::LogSink prev_log_sink_;
 
-  struct NodeHealth {
-    int level = 0;  ///< 0 ok, 1 degraded, 2 critical
-    std::string reason = "ok";
-  };
-  std::map<std::string, NodeHealth> health_;
-  std::map<std::string, uint64_t> health_prev_restarts_;
-  std::map<std::string, uint64_t> health_prev_breakers_;
-  /// (node name, client) pairs for breaker/error health signals.
-  std::vector<std::pair<std::string, const nfs::NfsClient*>> health_clients_;
-
-  std::vector<sim::Node*> storage_nodes_;
   std::vector<sim::Node*> client_nodes_;
+  /// One per storage node, in node order; `node()` is the storage node.
   std::vector<std::unique_ptr<lfs::ObjectStore>> stores_;
   std::vector<std::unique_ptr<pvfs::PvfsStorageServer>> pvfs_storage_;
   std::unique_ptr<pvfs::PvfsMetaServer> pvfs_meta_;

@@ -77,9 +77,6 @@ class RebuildManager {
   RebuildStats stats() const;
   const RebuildConfig& config() const noexcept { return config_; }
 
-  /// Storage indexes declared permanently failed so far.
-  const std::vector<uint32_t>& dead_nodes() const noexcept { return dead_; }
-
  private:
   sim::Task<void> monitor_loop();
   /// Declares `index` dead and rebuilds everything it held.

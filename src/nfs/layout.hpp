@@ -130,9 +130,6 @@ struct EcGeometry {
   }
 
   uint64_t group_bytes() const noexcept { return k * su; }
-  uint64_t group_of(uint64_t file_offset) const noexcept {
-    return file_offset / group_bytes();
-  }
 };
 
 /// One contiguous piece of a striped request: `length` bytes at `dev_offset`

@@ -358,7 +358,6 @@ Task<Status> NfsServer::dispatch(OpCode op, const rpc::CallContext& ctx,
           write_opens_[out.id] == 0) {
         delegation = DelegationType::kRead;
         delegation_holders_[out.id].insert(session);
-        ++delegations_granted_;
       }
       OpenRes{sid, attr, delegation}.encode(results);
       co_return Status::kOk;

@@ -53,7 +53,6 @@ class NfsServer {
   size_t rpc_queue_depth() const { return rpc_server_->queue_depth(); }
   sim::Node& node() noexcept { return node_; }
   const ServerConfig& config() const noexcept { return config_; }
-  uint64_t delegations_granted() const noexcept { return delegations_granted_; }
 
   /// Write verifier of the incarnation serving right now (the cookie WRITE
   /// and COMMIT replies carry).  Stable across a fault-free run.
@@ -140,7 +139,6 @@ class NfsServer {
     bool write = false;
   };
   std::unordered_map<uint64_t, OpenState> open_states_;  // stateid -> state
-  uint64_t delegations_granted_ = 0;
 
   // "nfs.server" component handles, resolved once at construction (null
   // sinks when the fabric carries no registry).

@@ -157,7 +157,6 @@ class RpcFabric {
   /// How long a call with no explicit deadline waits before giving up on a
   /// message the fault injector dropped (a stand-in for TCP giving up).
   sim::Duration drop_timeout() const noexcept { return drop_timeout_; }
-  void set_drop_timeout(sim::Duration t) noexcept { drop_timeout_ = t; }
 
  private:
   friend class RpcServer;

@@ -123,13 +123,6 @@ struct WireBuffer {
   WireBuffer& operator=(const WireBuffer&) = default;
   // Framing buffers churn once per message; retire them into the pool.
   ~WireBuffer() { util::BufferPool::give(std::move(bytes)); }
-
-  static WireBuffer from_encoder(XdrEncoder&& enc) {
-    WireBuffer w;
-    w.wire_size = enc.wire_size();
-    w.bytes = std::move(enc).take();
-    return w;
-  }
 };
 
 }  // namespace dpnfs::rpc

@@ -103,10 +103,6 @@ class XdrEncoder {
   /// back-patch counts, e.g. the COMPOUND op count).
   void patch_u32(size_t pos, uint32_t v);
 
-  /// Adds unmaterialized bytes to the wire-size accounting without writing
-  /// anything (used when flattening nested encoders).
-  void add_virtual_bytes(uint64_t bytes) noexcept { virtual_bytes_ += bytes; }
-
   /// Bytes materialized so far.
   size_t encoded_size() const noexcept { return buf_.size(); }
 

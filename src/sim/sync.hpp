@@ -108,8 +108,6 @@ class Latch {
  public:
   explicit Latch(Simulation& sim) : sim_(sim) {}
 
-  bool is_set() const noexcept { return set_; }
-
   void set() {
     if (set_) return;
     set_ = true;

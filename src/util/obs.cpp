@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 #include "util/format.hpp"
 
@@ -35,11 +36,6 @@ std::vector<double> latency_us_boundaries() {
   return {1,     2,     5,     10,    20,    50,    100,   200,
           500,   1e3,   2e3,   5e3,   1e4,   2e4,   5e4,   1e5,
           2e5,   5e5,   1e6,   2e6,   5e6,   1e7};
-}
-
-std::vector<double> size_bytes_boundaries() {
-  return {512,        4096,        16384,       65536,      262144,
-          1048576,    2097152,     4194304,     8388608,    16777216};
 }
 
 // ---------------------------------------------------------------------------
@@ -209,38 +205,6 @@ std::string MetricsRegistry::to_json() const {
     out += "}";
   }
   out += "}";
-  return out;
-}
-
-std::string MetricsRegistry::report() const {
-  std::string out;
-  for (const auto& [node, components] : nodes_) {
-    out += sformat("node %-10s\n", node.c_str());
-    for (const auto& [comp, metrics] : components) {
-      for (const auto& [name, c] : metrics.counters) {
-        out += sformat("  %-12s %-24s %llu\n", comp.c_str(), name.c_str(),
-                       static_cast<unsigned long long>(c.value()));
-      }
-      for (const auto& [name, g] : metrics.gauges) {
-        out += sformat("  %-12s %-24s %.3f\n", comp.c_str(), name.c_str(),
-                       g.value());
-      }
-      for (const auto& [name, h] : metrics.histograms) {
-        out += sformat(
-            "  %-12s %-24s count=%llu mean=%.1f min=%.1f max=%.1f\n",
-            comp.c_str(), name.c_str(),
-            static_cast<unsigned long long>(h.count()), h.mean(), h.min(),
-            h.max());
-      }
-      for (const auto& [name, d] : metrics.digests) {
-        out += sformat(
-            "  %-12s %-24s count=%llu p50=%.1f p99=%.1f max=%.1f\n",
-            comp.c_str(), name.c_str(),
-            static_cast<unsigned long long>(d.count()), d.p50(), d.p99(),
-            d.max());
-      }
-    }
-  }
   return out;
 }
 
@@ -672,6 +636,13 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
+}
+
+bool write_file(const std::string& path, const std::string& body) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const size_t n = std::fwrite(body.data(), 1, body.size(), f);
+  return std::fclose(f) == 0 && n == body.size();
 }
 
 }  // namespace dpnfs::obs

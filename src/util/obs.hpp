@@ -89,8 +89,6 @@ class HistogramMetric {
 
 /// Default boundaries for latency histograms, in microseconds (1us .. 10s).
 std::vector<double> latency_us_boundaries();
-/// Default boundaries for size histograms, in bytes (512B .. 16MB).
-std::vector<double> size_bytes_boundaries();
 
 // ---------------------------------------------------------------------------
 // MetricsRegistry
@@ -141,9 +139,6 @@ class MetricsRegistry {
   /// {"node": {"component": {"counters": {...}, "gauges": {...},
   ///                         "histograms": {...}, "digests": {...}}}}
   std::string to_json() const;
-
-  /// Human-readable per-node report (one line per metric).
-  std::string report() const;
 
   /// Shared sinks for components constructed without a registry: always
   /// valid, never read.  Updates are as cheap as the real thing, so
@@ -400,5 +395,9 @@ class Tracer {
 
 /// Escapes a string for embedding in a JSON document.
 std::string json_escape(const std::string& s);
+
+/// Writes an export document (metrics, trace, flight dump) to `path`;
+/// false on I/O failure.
+bool write_file(const std::string& path, const std::string& body);
 
 }  // namespace dpnfs::obs

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -540,18 +539,6 @@ std::string TraceExporter::to_chrome_json(const Tracer& tracer,
   }
   out += "]}\n";
   return out;
-}
-
-bool TraceExporter::write_file(const std::string& path, const Tracer& tracer,
-                               const std::string& architecture,
-                               const TimeSeries* series) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string body = to_chrome_json(tracer, architecture, series);
-  const size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  const bool ok = (n == body.size()) && std::fclose(f) == 0;
-  if (n != body.size()) std::fclose(f);
-  return ok;
 }
 
 }  // namespace dpnfs::obs

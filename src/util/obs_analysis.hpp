@@ -131,7 +131,6 @@ class TimeSeries {
            double value);
 
   bool empty() const noexcept { return sample_count_ == 0; }
-  size_t sample_count() const noexcept { return sample_count_; }
   const std::map<std::string, std::map<std::string, std::vector<Sample>>>&
   series() const noexcept {
     return series_;
@@ -157,11 +156,6 @@ class TraceExporter {
   static std::string to_chrome_json(const Tracer& tracer,
                                     const std::string& architecture,
                                     const TimeSeries* series = nullptr);
-
-  /// Writes `to_chrome_json` to `path`; false on I/O failure.
-  static bool write_file(const std::string& path, const Tracer& tracer,
-                         const std::string& architecture,
-                         const TimeSeries* series = nullptr);
 };
 
 }  // namespace dpnfs::obs

@@ -103,7 +103,7 @@ class TenantLedger {
   /// Display key: "none" for the reserved tenant 0, "tenant<N>" otherwise.
   static std::string tenant_name(uint64_t id);
 
-  /// The `"tenants"` section of Deployment::metrics_json (see
+  /// The `"tenants"` section of RunObserver::metrics_json (see
   /// docs/observability.md): top-K rows by request count plus exact totals
   /// and the seen/evicted cardinality counters.
   std::string to_json() const;

@@ -1,6 +1,5 @@
 #include "workload/runner.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "util/log.hpp"
@@ -91,10 +90,6 @@ RunResult run_workload(core::Deployment& d, Workload& w) {
              "%s on %s: %.3fs, %.1f MB/s", w.name().c_str(),
              core::architecture_name(d.architecture()), result.elapsed_seconds,
              result.aggregate_mbps());
-  if (const char* flag = std::getenv("DPNFS_METRICS_REPORT");
-      flag != nullptr && flag[0] != '\0' && flag[0] != '0') {
-    d.print_metrics_report();
-  }
   return result;
 }
 

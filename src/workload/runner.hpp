@@ -46,9 +46,9 @@ class Workload {
   virtual uint64_t total_transactions() const { return 0; }
 };
 
-/// Runs `w` on `d` to completion and reports the timed phase.  Set the
-/// environment variable DPNFS_METRICS_REPORT=1 to print the per-node
-/// metrics report after every run.
+/// Runs `w` on `d` to completion and reports the timed phase.  The
+/// observer samples the timed phase; export its metrics document with
+/// `d.observer().metrics_json()` afterwards.
 RunResult run_workload(core::Deployment& d, Workload& w);
 
 }  // namespace dpnfs::workload

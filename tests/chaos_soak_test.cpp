@@ -26,6 +26,7 @@
 #include "sim/fault.hpp"
 #include "sim/sync.hpp"
 #include "util/bytes.hpp"
+#include "util/obs.hpp"
 
 namespace dpnfs {
 namespace {
@@ -281,12 +282,12 @@ ChaosOutcome run_chaos(core::Architecture arch, uint64_t seed) {
     const std::string path = "chaos_flight_" +
                              std::string(core::architecture_name(arch)) + "_" +
                              std::to_string(seed) + ".json";
-    if (d.write_flight(path)) {
+    if (obs::write_file(path, d.flight().to_json())) {
       ADD_FAILURE() << "chaos oracle mismatch; flight dump written to "
                     << path;
     } else {
       ADD_FAILURE() << "chaos oracle mismatch; flight dump:\n"
-                    << d.flight_json();
+                    << d.flight().to_json();
     }
   }
   out.writers_ok = true;

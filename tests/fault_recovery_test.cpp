@@ -4,7 +4,8 @@
 // retries, layout re-fetch, and MDS fallback — with byte-identical data),
 // RPC deadlines that expire instead of hanging, retries appearing as child
 // spans of one trace, whole-node crash + revive, a layout recall racing
-// in-flight recovery, and disk faults surfacing as I/O errors.
+// in-flight recovery, a lossy and slow storage-node uplink under a write
+// and fsync, and disk faults surfacing as I/O errors.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -104,7 +105,7 @@ RecoveryOutcome run_ds_crash_scenario() {
   out.writer =
       dynamic_cast<core::NfsFileSystemClient&>(d.client(0)).native().stats();
   out.export_has_recovery =
-      d.metrics_json().find("client.recovery") != std::string::npos;
+      d.observer().metrics_json().find("client.recovery") != std::string::npos;
   return out;
 }
 
@@ -624,6 +625,113 @@ TEST(FaultRecovery, MdsAnswersSizesWithoutGatheringUntilItRestarts) {
   EXPECT_EQ(first_getattr, 6u);  // one gather across the six daemons
   EXPECT_EQ(second_getattr, 0u);
   EXPECT_EQ(size_after_restart, kLen);
+}
+
+// ---------------------------------------------------------------------------
+// Link faults: a lossy, slow uplink under a write and fsync
+// ---------------------------------------------------------------------------
+
+struct LinkFaultOutcome {
+  bool data_ok = false;
+  sim::Time written = 0;  ///< when the writer's fsync returned
+  uint64_t dropped = 0;
+  uint64_t delayed = 0;
+  uint64_t rpc_retries = 0;  ///< the writer's transport retries
+  std::string flight;
+  std::string metrics;
+};
+
+/// storage1's uplink (to every node) drops its first kDropFirst messages,
+/// then 5% of the rest, and delays every message it delivers by 300 us,
+/// until kLinkFaultEnd.  Inside that window client 0 writes 16 MiB in
+/// 1 MiB calls and fsyncs on Direct-pNFS, with 128 KiB WRITEs so that
+/// about forty replies cross the faulty link; after it, a fresh client
+/// reads the file back.  Lost requests and replies surface as RPC timeouts
+/// that the client retries.
+constexpr uint32_t kDropFirst = 4;
+constexpr sim::Time kLinkFaultEnd = sim::sec(4);
+
+LinkFaultOutcome run_link_fault_scenario() {
+  constexpr uint64_t kBytes = 16_MiB;
+  constexpr uint64_t kBlock = 1_MiB;
+
+  core::ClusterConfig cfg;
+  cfg.architecture = core::Architecture::kDirectPnfs;
+  cfg.storage_nodes = 4;
+  cfg.clients = 2;
+  cfg.nfs_client.wsize = 128u << 10;
+  // The restart-recovery posture `simulate` applies on Direct-pNFS.
+  cfg.nfs_client.ds_timeout = sim::ms(250);
+  cfg.nfs_client.ds_rpc_retries = 8;
+  cfg.nfs_client.slice_retries = 4;
+  cfg.nfs_client.breaker_threshold = 4;
+  cfg.nfs_client.breaker_reset = sim::ms(500);
+  cfg.nfs_client.mds_timeout = sim::ms(500);
+  cfg.nfs_client.mds_fallback = false;
+  cfg.mds_grace_period = sim::ms(200);
+  cfg.pvfs_client.io_timeout = sim::ms(250);
+  cfg.pvfs_client.io_retries = 10;
+  cfg.pvfs_client.meta_timeout = sim::ms(500);
+  cfg.pvfs_client.meta_retries = 6;
+  // Storage nodes get ids 0..3.
+  cfg.faults.add_link_fault({.src = 1,
+                             .dst = std::nullopt,
+                             .from = 0,
+                             .until = kLinkFaultEnd,
+                             .drop_first = kDropFirst,
+                             .drop_probability = 0.05,
+                             .extra_delay = sim::us(300)});
+
+  core::Deployment d(cfg);
+  LinkFaultOutcome out;
+  d.simulation().spawn([](core::Deployment& d,
+                          LinkFaultOutcome& out) -> Task<void> {
+    co_await d.mount_all();
+    auto f = co_await d.client(0).open("/f", true);
+    for (uint64_t off = 0; off < kBytes; off += kBlock) {
+      co_await f->write(off, pattern_payload(off, kBlock));
+    }
+    co_await f->fsync();
+    out.written = d.simulation().now();
+    co_await f->close();
+
+    auto& sim = d.simulation();
+    if (sim.now() < kLinkFaultEnd) {
+      co_await sim.delay(kLinkFaultEnd - sim.now());
+    }
+    auto g = co_await d.client(1).open_read("/f");
+    Payload back = co_await g->read(0, kBytes);
+    out.data_ok = back == pattern_payload(0, kBytes);
+    co_await g->close();
+  }(d, out));
+  d.simulation().run();
+
+  out.dropped = d.fault_injector()->messages_dropped();
+  out.delayed = d.fault_injector()->messages_delayed();
+  out.rpc_retries =
+      d.metrics().find_counter("client0", "client.recovery", "rpc_retries")
+          ->value();
+  out.flight = d.flight().to_json();
+  out.metrics = d.observer().metrics_json();
+  return out;
+}
+
+TEST(FaultRecovery, LossySlowUplinkWriteReadsBackExactly) {
+  const LinkFaultOutcome a = run_link_fault_scenario();
+  EXPECT_TRUE(a.data_ok);
+  // The whole write and fsync ran under the fault.
+  EXPECT_GT(a.written, 0);
+  EXPECT_LT(a.written, kLinkFaultEnd);
+  // Random drops came on top of the scripted ones, and the writer retried.
+  EXPECT_GT(a.dropped, kDropFirst);
+  EXPECT_GT(a.delayed, 0u);
+  EXPECT_GT(a.rpc_retries, 0u);
+
+  const LinkFaultOutcome b = run_link_fault_scenario();
+  EXPECT_EQ(a.flight, b.flight);
+  EXPECT_EQ(a.metrics, b.metrics);
+  EXPECT_EQ(a.written, b.written);
+  EXPECT_EQ(a.dropped, b.dropped);
 }
 
 // ---------------------------------------------------------------------------

@@ -325,9 +325,9 @@ TEST(Sampling, SamplerRecordsUtilizationSeries) {
   workload::IorWorkload w(ior);
   run_workload(d, w);
 
-  EXPECT_FALSE(d.samples().empty());
+  EXPECT_FALSE(d.observer().samples().empty());
   bool saw_nic = false, saw_disk = false;
-  for (const auto& [node, by_name] : d.samples().series()) {
+  for (const auto& [node, by_name] : d.observer().samples().series()) {
     saw_nic = saw_nic || by_name.count("nic_tx_util") > 0;
     saw_disk = saw_disk || by_name.count("disk_util") > 0;
     for (const auto& [name, points] : by_name) {
@@ -338,7 +338,8 @@ TEST(Sampling, SamplerRecordsUtilizationSeries) {
   }
   EXPECT_TRUE(saw_nic);
   EXPECT_TRUE(saw_disk);
-  EXPECT_NE(d.metrics_json().find("\"timeseries\""), std::string::npos);
+  EXPECT_NE(d.observer().metrics_json().find("\"timeseries\""),
+            std::string::npos);
   EXPECT_NE(obs::analyze_all(d.tracer()).to_json("Direct-pNFS").find(
                 "\"phases_ns\""),
             std::string::npos);
@@ -353,8 +354,9 @@ TEST(Sampling, DisabledIntervalRecordsNothing) {
   ior.bytes_per_client = 2'000'000;
   workload::IorWorkload w(ior);
   run_workload(d, w);
-  EXPECT_TRUE(d.samples().empty());
-  EXPECT_EQ(d.metrics_json().find("\"timeseries\""), std::string::npos);
+  EXPECT_TRUE(d.observer().samples().empty());
+  EXPECT_EQ(d.observer().metrics_json().find("\"timeseries\""),
+            std::string::npos);
 }
 
 }  // namespace

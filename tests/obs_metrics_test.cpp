@@ -330,7 +330,7 @@ TEST(Deployment, MetricsJsonCarriesPerStorageNodeBytes) {
   ior.bytes_per_client = 12ull << 20;  // 2 MB stripes over 3 nodes: all hit
   workload::IorWorkload w(ior);
   workload::run_workload(d, w);
-  const std::string json = d.metrics_json();
+  const std::string json = d.observer().metrics_json();
   EXPECT_FALSE(json.empty());
   EXPECT_NE(json.find("\"architecture\":\"Direct-pNFS\""), std::string::npos);
   // Every storage node reports its resource gauges in the export.

@@ -423,7 +423,7 @@ TEST(Deployment, MetricsJsonCarriesSloSection) {
   ior.bytes_per_client = 8ull << 20;
   workload::IorWorkload w(ior);
   workload::run_workload(d, w);
-  const std::string json = d.metrics_json();
+  const std::string json = d.observer().metrics_json();
   EXPECT_NE(json.find("\"slo\":"), std::string::npos);
   EXPECT_NE(json.find("\"per_op\""), std::string::npos);
   EXPECT_NE(json.find("\"latency_us\""), std::string::npos);

@@ -216,10 +216,10 @@ KillOutcome run_kill(core::ClusterConfig cfg) {
   }
   if (!st.degraded_ok || !st.rebuilt_ok) {
     ADD_FAILURE() << "permanent-kill oracle mismatch; flight dump:\n"
-                  << d.flight_json();
+                  << d.flight().to_json();
   }
   // The rebuild lifecycle is on the flight-recorder record.
-  const std::string flight = d.flight_json();
+  const std::string flight = d.flight().to_json();
   EXPECT_NE(flight.find("ds.declared_dead"), std::string::npos);
   EXPECT_NE(flight.find("rebuild.start"), std::string::npos);
   EXPECT_NE(flight.find("rebuild.complete"), std::string::npos);

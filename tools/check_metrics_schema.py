@@ -3,7 +3,7 @@
 
 Two document shapes are accepted (see docs/observability.md):
 
-  1. A Deployment::metrics_json export (`simulate --metrics-out`):
+  1. A RunObserver::metrics_json export (`simulate --metrics-out`):
        {"architecture": str, "sim_time_ns": int,
         "nodes": {node: {component: {"counters": {...}, "gauges": {...},
                                      "histograms": {...}}}},

@@ -7,7 +7,11 @@ and transient outages, and seeded chaos storms, each on all five
 architectures where it applies, plus native-PVFS list I/O with and
 without a daemon restart) through each tree's
 `build/examples/simulate`, and byte-compares per recipe the exit code,
-stdout, the `--metrics-out` document and the `--flight-out` dump.  Then it
+stdout, the `--metrics-out` document and the `--flight-out` dump.  The
+`trace-*` recipes repeat the fault-free IOR write and the first chaos
+storm of every architecture with `--trace-out` and `--verbose`, so the
+Chrome trace export (spans plus the sampler's counter tracks) and the
+per-node traffic table are compared too.  Then it
 runs each tree's full `bench_fig6_write` and `bench_fig7_read` and compares
 their stdout byte for byte and their BENCH files point by point (figure,
 architecture, clients, value, unit and host mark; other keys are ignored,
@@ -126,6 +130,14 @@ for _arch in ARCHS:
 for _seed in (4, 5, 6, 7):
     RECIPES.append((f"chaos-ior-read-{_seed}",
                     ["--workload=ior-read", *CHAOS, f"--chaos-seed={_seed}"]))
+# The trace export and the traffic table, fault-free and under chaos.
+TRACE = ["--trace-out=trace.json", "--verbose"]
+for _arch in ARCHS:
+    RECIPES.append((f"trace-ior-write-{_arch}",
+                    [f"--arch={_arch}", "--workload=ior-write", *SMALL, *TRACE]))
+    RECIPES.append((f"trace-chaos-{_arch}-1",
+                    [f"--arch={_arch}", "--workload=ior-write", *CHAOS,
+                     "--chaos-seed=1", *TRACE]))
 RECIPES += [
     ("chaos-oltp", ["--workload=oltp", *SMALL, "--txns=600", "--chaos-seed=8"]),
     ("chaos-strided", ["--workload=strided", *SMALL, "--chaos-seed=9"]),
@@ -175,7 +187,7 @@ def compare_recipe(trees, name, args, root):
         diffs.append(f"exit {results[0][0]} vs {results[1][0]}")
     if results[0][1] != results[1][1]:
         diffs.append("stdout")
-    for out in ("metrics.json", "flight.json"):
+    for out in ("metrics.json", "flight.json", "trace.json"):
         if not same_file(*(os.path.join(d, out) for d in dirs)):
             diffs.append(out)
     return diffs
