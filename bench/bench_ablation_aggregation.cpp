@@ -86,8 +86,8 @@ struct Cluster {
           .disk = sim::DiskParams{},
           .cpu = sim::CpuParams{}});
       stores.push_back(std::make_unique<lfs::ObjectStore>(node));
-      backends.push_back(
-          std::make_unique<nfs::LocalBackend>(*stores.back(), /*flat=*/true));
+      backends.push_back(std::make_unique<nfs::LocalBackend>(
+          *stores.back(), fabric.tracer(), fabric.tenants(), /*flat=*/true));
       nfs::ServerConfig scfg;
       scfg.is_data_server = true;
       servers.push_back(std::make_unique<nfs::NfsServer>(
@@ -102,7 +102,8 @@ struct Cluster {
         .disk = sim::DiskParams{},
         .cpu = sim::CpuParams{}});
     mds_store = std::make_unique<lfs::ObjectStore>(mds_node);
-    mds_backend = std::make_unique<nfs::LocalBackend>(*mds_store);
+    mds_backend = std::make_unique<nfs::LocalBackend>(
+        *mds_store, fabric.tracer(), fabric.tenants());
     layouts = std::make_unique<AblationLayoutSource>(devices, prototype,
                                                      mds_backend.get());
     mds = std::make_unique<nfs::NfsServer>(fabric, mds_node, 2050,

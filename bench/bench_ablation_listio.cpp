@@ -2,12 +2,12 @@
 //
 // The strided BT-IO variant leaves each client with mutually non-adjacent
 // dirty extents (stride = n_clients * record_bytes), the worst case for
-// plain extent coalescing.  With listio enabled the write-back scheduler
-// folds those extents into multi-region WRITEVs; disabled, every record is
-// its own WRITE RPC.  Records are small (512 B, true to BT-IO's
-// noncontiguous element writes), which makes the per-RPC fixed cost — the
-// overhead list I/O exists to amortize — the binding resource on the
-// client CPU.  The bench sweeps client counts on Direct-pNFS and reports
+// plain extent coalescing.  With listio on the write-back scheduler folds
+// those extents into multi-region WRITEVs; off (listio_max_regions = 1),
+// every record is its own WRITE RPC.  Records are small (512 B, true to
+// BT-IO's noncontiguous element writes), which makes the per-RPC fixed
+// cost — the overhead list I/O exists to amortize — the binding resource on
+// the client CPU.  The bench sweeps client counts on Direct-pNFS and reports
 // aggregate MB/s plus the WRITE-RPC reduction factor, and hard-fails if
 // folding stops delivering at least a 4x RPC reduction or stops being
 // faster — the delta gate then guards the recorded series.
@@ -30,10 +30,10 @@ struct CaseResult {
   uint64_t write_rpcs = 0;
 };
 
-CaseResult run_case(bool listio, uint32_t clients, uint32_t records,
-                    uint32_t checkpoints, uint32_t max_regions) {
+/// `max_regions` 1 is the listio-off rung.
+CaseResult run_case(uint32_t clients, uint32_t records, uint32_t checkpoints,
+                    uint32_t max_regions) {
   core::ClusterConfig cfg = paper_config(Architecture::kDirectPnfs, clients);
-  cfg.listio_enabled = listio;
   // 16 regions per WRITEV is the sweet spot on this cluster: enough to
   // amortize the per-RPC cost, small enough that several WRITEVs stay in
   // flight per DS and keep the wire and server CPU overlapped (run
@@ -79,11 +79,11 @@ int main(int argc, char** argv) {
     std::printf("== listio_max_regions sweep (4 clients, %u B records) ==\n",
                 kRecordBytes);
     for (uint32_t mr : {2u, 4u, 8u, 16u, 32u, 64u}) {
-      const CaseResult r = run_case(true, 4, records, checkpoints, mr);
+      const CaseResult r = run_case(4, records, checkpoints, mr);
       std::printf("max_regions=%2u  %7.1f MB/s  write_rpcs=%llu\n", mr, r.mbps,
                   static_cast<unsigned long long>(r.write_rpcs));
     }
-    const CaseResult off = run_case(false, 4, records, checkpoints, 16);
+    const CaseResult off = run_case(4, records, checkpoints, 1);
     std::printf("listio-off     %7.1f MB/s  write_rpcs=%llu\n", off.mbps,
                 static_cast<unsigned long long>(off.write_rpcs));
     return 0;
@@ -102,8 +102,8 @@ int main(int argc, char** argv) {
   Series factor{"rpc-factor", {}};
   bool gate_ok = true;
   for (uint32_t n : clients) {
-    const CaseResult on = run_case(true, n, records, checkpoints, 16);
-    const CaseResult off = run_case(false, n, records, checkpoints, 16);
+    const CaseResult on = run_case(n, records, checkpoints, 16);
+    const CaseResult off = run_case(n, records, checkpoints, 1);
     const double reduction =
         on.write_rpcs > 0
             ? static_cast<double>(off.write_rpcs) / on.write_rpcs

@@ -73,7 +73,7 @@ int run_simulation(int argc, char** argv) {
         "                [--bytes=N] [--block=N] [--stripe=N] [--txns=N]\n"
         "                [--latency-us=N] [--nic-mbps=N] [--verbose]\n"
         "                [--wb-window-per-ds=N] [--no-coalesce]\n"
-        "                [--no-listio] [--listio-max-regions=N]\n"
+        "                [--listio-max-regions=N]\n"
         "                [--fault-ds-crash=N] [--fault-at-ms=T]\n"
         "                [--fault-revive-ms=T] [--fault-ds-restart=N]\n"
         "                [--fault-ds-kill=N] [--rebuild-after-ms=T]\n"
@@ -90,10 +90,10 @@ int run_simulation(int argc, char** argv) {
         "server (default 8); --no-coalesce disables merging adjacent dirty\n"
         "extents into wsize WRITEs before dispatch (ablation switches for\n"
         "the per-DS write-back scheduler).\n"
-        "--no-listio disables vectored (list) I/O: every region goes out as\n"
-        "its own single-range READ/WRITE (kRead/kWrite on the PVFS wire);\n"
         "--listio-max-regions=N caps the regions folded into one vectored\n"
-        "request (default 64).  The strided workload is the showcase:\n"
+        "(list I/O) request (default 64); 1 disables list I/O, so every\n"
+        "region goes out as its own single-range READ/WRITE (kRead/kWrite\n"
+        "on the PVFS wire).  The strided workload is the showcase:\n"
         "--workload=strided interleaves per-client records so each client's\n"
         "dirty extents are non-adjacent (see EXPERIMENTS.md).\n"
         "\n"
@@ -186,7 +186,6 @@ int run_simulation(int argc, char** argv) {
   cfg.nfs_client.wb_window_per_ds = static_cast<uint32_t>(std::max(
       1, std::atoi(arg_value(argc, argv, "--wb-window-per-ds", "8"))));
   if (flag(argc, argv, "--no-coalesce")) cfg.nfs_client.coalesce_writes = false;
-  if (flag(argc, argv, "--no-listio")) cfg.listio_enabled = false;
   cfg.listio_max_regions = static_cast<uint32_t>(std::max(
       1, std::atoi(arg_value(argc, argv, "--listio-max-regions", "64"))));
 

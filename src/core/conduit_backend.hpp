@@ -10,9 +10,8 @@
 // This decorator reproduces that prototype artifact: every data operation
 // crosses a bounded buffer pool and pays a kernel/daemon crossing cost plus
 // a loopback copy.  It explains why the paper's Direct-pNFS trails PVFS2
-// slightly on 8-client single-file reads (Fig 7b).  Disable it
-// (`ClusterConfig::direct_ds_conduit = false`) to model a data server with
-// true direct VFS access — the architecture's intended end state.
+// slightly on 8-client single-file reads (Fig 7b).  Every Direct-pNFS data
+// server runs behind one; `ClusterConfig::conduit` sets its costs.
 #pragma once
 
 #include "nfs/backend.hpp"

@@ -45,43 +45,32 @@ void check_redundancy_geometry(const ClusterConfig& c) {
 Deployment::Deployment(ClusterConfig config)
     : config_(std::move(config)), net_(sim_, config_.network), fabric_(net_) {
   check_redundancy_geometry(config_);
-  // Before any server/client is constructed: they resolve their metric
-  // handles from the fabric at construction time.
-  tracer_.set_span_capacity(config_.trace_span_capacity);
-  tracer_.set_sample_rate(config_.trace_sample_rate);
-  tracer_.set_sample_seed(
+  obs::Tracer& tracer = fabric_.tracer();
+  tracer.set_span_capacity(config_.trace_span_capacity);
+  tracer.set_sample_rate(config_.trace_sample_rate);
+  tracer.set_sample_seed(
       util::Rng(config_.trace_sample_seed).next());  // decorrelate from ids
-  tracer_.set_slo_threshold(config_.trace_slo_threshold);
-  tracer_.set_staging_capacity(config_.trace_span_capacity);
-  fabric_.set_observability(&metrics_, &tracer_);
-  tenants_ledger_.set_slo_threshold(config_.trace_slo_threshold);
-  fabric_.set_accounting(&tenants_ledger_, &flight_);
+  tracer.set_slo_threshold(config_.trace_slo_threshold);
+  tracer.set_staging_capacity(config_.trace_span_capacity);
+  fabric_.tenants().set_slo_threshold(config_.trace_slo_threshold);
   // WARN+ log lines ride the flight ring, so a dump carries the log tail
   // without an always-on log file.  The previous sink is restored at
   // destruction (deployments nest in tests).
   prev_log_sink_ = util::set_log_sink(
       [this](util::LogLevel level, std::string_view component,
              int64_t sim_time_ns, std::string_view message) {
-        flight_.record(sim_time_ns, "-", component,
-                       level >= util::LogLevel::kError ? "log.error"
-                                                       : "log.warn",
-                       std::string(message));
+        fabric_.flight().record(sim_time_ns, "-", component,
+                                level >= util::LogLevel::kError ? "log.error"
+                                                                : "log.warn",
+                                std::string(message));
       });
-  // Likewise the fault injector: nodes pick up their injector pointer as
+  // Before any node is added: nodes pick up their fault injector pointer as
   // they are added to the network.
   if (!config_.faults.empty()) {
     fault_injector_ = std::make_unique<sim::FaultInjector>(config_.faults);
     net_.set_fault_injector(fault_injector_.get());
   }
-  config_.pvfs_meta.stripe_unit = config_.stripe_unit;
-  config_.pvfs_meta.distribution = config_.distribution;
-  config_.pvfs_meta.replicas = config_.replicas;
-  config_.pvfs_meta.ec_k = config_.ec_k;
-  config_.pvfs_meta.ec_m = config_.ec_m;
-  config_.pvfs_meta.spare_nodes = config_.spare_nodes;
-  config_.nfs_client.listio_enabled = config_.listio_enabled;
   config_.nfs_client.listio_max_regions = config_.listio_max_regions;
-  config_.pvfs_client.listio_enabled = config_.listio_enabled;
   config_.pvfs_client.listio_max_regions = config_.listio_max_regions;
   registry_ = std::make_shared<FhRegistry>();
   aggregations_ = std::make_shared<const nfs::AggregationRegistry>(
@@ -151,7 +140,12 @@ void Deployment::build_backend_cluster(uint32_t storage_count,
   sim::Node& meta_node = stores_[0]->node();
   pvfs_meta_ = std::make_unique<pvfs::PvfsMetaServer>(
       fabric_, meta_node, rpc::kPvfsMetaPort, storage_count,
-      config_.pvfs_meta);
+      pvfs::MetaServerConfig{.stripe_unit = config_.stripe_unit,
+                             .distribution = config_.distribution,
+                             .replicas = config_.replicas,
+                             .ec_k = config_.ec_k,
+                             .ec_m = config_.ec_m,
+                             .spare_nodes = config_.spare_nodes});
   start(*pvfs_meta_);
   // Rebuild service co-located with the metadata manager.  It monitors the
   // injector's liveness view, so fault-free runs never construct one.
@@ -220,13 +214,12 @@ rpc::RpcAddress Deployment::start_mds(
                                                registry_);
   nfs::LayoutSource* layouts = nullptr;
   if (direct) {
-    translator_ = std::make_unique<LayoutTranslator>(*backend, devices);
-    translator_->attach_metrics(metrics_, node.name());
+    translator_ = std::make_unique<LayoutTranslator>(
+        *backend, devices, fabric_.metrics(), node.name());
     layouts = translator_.get();
   } else if (!devices.empty()) {
-    synthetic_layouts_ =
-        std::make_unique<SyntheticLayoutSource>(devices, config_.stripe_unit);
-    synthetic_layouts_->attach_metrics(metrics_, node.name());
+    synthetic_layouts_ = std::make_unique<SyntheticLayoutSource>(
+        devices, config_.stripe_unit, fabric_.metrics(), node.name());
     layouts = synthetic_layouts_.get();
   }
   nfs::ServerConfig scfg = config_.nfs_server;
@@ -273,21 +266,15 @@ rpc::RpcAddress Deployment::build_direct_pnfs() {
   std::vector<nfs::DeviceEntry> devices;
   for (uint32_t i = 0; i < config_.storage_nodes; ++i) {
     sim::Node& node = stores_[i]->node();
-    auto local =
-        std::make_unique<nfs::LocalBackend>(*stores_[i], /*flat=*/true);
-    local->attach_tracer(&tracer_, node.name());
-    local->attach_tenants(&tenants_ledger_);
-    nfs::Backend* exported = local.get();
-    std::unique_ptr<ConduitBackend> conduit;
-    if (config_.direct_ds_conduit) {
-      // Figure 5 fidelity: the prototype data server reaches its stripe
-      // objects through the local PVFS2 client/daemon buffer pool.
-      conduit = std::make_unique<ConduitBackend>(*local, node, config_.conduit);
-      exported = conduit.get();
-    }
-    start_data_server(node, *exported, devices);
+    auto local = std::make_unique<nfs::LocalBackend>(
+        *stores_[i], fabric_.tracer(), fabric_.tenants(), /*flat=*/true);
+    // Figure 5 fidelity: the prototype data server reaches its stripe
+    // objects through the local PVFS2 client/daemon buffer pool.
+    auto conduit =
+        std::make_unique<ConduitBackend>(*local, node, config_.conduit);
+    start_data_server(node, *conduit, devices);
     backends_.push_back(std::move(local));
-    if (conduit) backends_.push_back(std::move(conduit));
+    backends_.push_back(std::move(conduit));
   }
   // MDS co-located with the PVFS metadata manager on storage node 0.  Its
   // PVFS client's meta/storage traffic to node 0 rides the loopback.

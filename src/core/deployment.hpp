@@ -92,10 +92,9 @@ struct ClusterConfig {
   /// by serving stripe objects locally.
   double proxy_extra_cpu_ns_per_byte = 24.0;
 
-  /// Model the prototype's loopback conduit on Direct-pNFS data servers
-  /// (Figure 5: the PVFS2 client ferries data between the NFSv4 server and
-  /// the local storage daemon through a fixed buffer pool).
-  bool direct_ds_conduit = true;
+  /// The prototype's loopback conduit on Direct-pNFS data servers (Figure
+  /// 5: the PVFS2 client ferries data between the NFSv4 server and the local
+  /// storage daemon through a fixed buffer pool).
   ConduitParams conduit{};
 
   /// The 2-/3-tier data servers re-export PVFS through the *kernel* client:
@@ -145,18 +144,18 @@ struct ClusterConfig {
 
   uint64_t stripe_unit = 2ull << 20;
 
-  /// File distribution for new files (copied into pvfs_meta at build time):
-  /// kStripe (default, no redundancy), kMirror (`replicas` full copies), or
-  /// kErasure (RS `ec_k`+`ec_m`).  Redundant distributions surface to pNFS
-  /// clients as the replicated / erasure-coded layout aggregations, whose
-  /// degraded read and write paths survive data-server loss without MDS
-  /// fallback (docs/failures.md).
+  /// File distribution for new files, handed to the metadata server at
+  /// build time: kStripe (default, no redundancy), kMirror (`replicas` full
+  /// copies), or kErasure (RS `ec_k`+`ec_m`).  Redundant distributions
+  /// surface to pNFS clients as the replicated / erasure-coded layout
+  /// aggregations, whose degraded read and write paths survive data-server
+  /// loss without MDS fallback (docs/failures.md).
   pvfs::DistKind distribution = pvfs::DistKind::kStripe;
   uint32_t replicas = 2;
   uint32_t ec_k = 4;
   uint32_t ec_m = 2;
   /// Trailing storage nodes held out of new distributions as rebuild
-  /// spares (copied into pvfs_meta).
+  /// spares.
   uint32_t spare_nodes = 0;
 
   /// Background rebuild service on the MDS node (Direct-pNFS only): when a
@@ -168,24 +167,22 @@ struct ClusterConfig {
   bool rebuild_enabled = false;
   RebuildConfig rebuild{};
 
-  /// List I/O: clients fold multiple regions for the same data server or
-  /// storage daemon into one vectored request (kReadv/kWritev on the PVFS
-  /// wire, READV/WRITEV in NFS compounds).  Copied into the NFS and PVFS
-  /// client configs at build time.
-  bool listio_enabled = true;
+  /// List I/O: clients fold up to this many regions for the same data
+  /// server or storage daemon into one vectored request (kReadv/kWritev on
+  /// the PVFS wire, READV/WRITEV in NFS compounds).  1 turns list I/O off.
+  /// Copied into the NFS and PVFS client configs at build time.
   uint32_t listio_max_regions = 64;
 
   lfs::ObjectStoreParams store{};
   nfs::ServerConfig nfs_server{};
   nfs::ClientConfig nfs_client{};
-  pvfs::MetaServerConfig pvfs_meta{};
   pvfs::StorageServerConfig pvfs_storage{};
   pvfs::PvfsClientConfig pvfs_client{};
 };
 
 /// One assembled cluster: simulation, nodes, servers, and per-client-node
-/// FileSystemClient handles, plus the instruments the daemons write into.
-/// Sampling, health and exports live in `observer()`.
+/// FileSystemClient handles.  The instruments the daemons write into belong
+/// to the RPC fabric; sampling, health and exports live in `observer()`.
 class Deployment {
  public:
   explicit Deployment(ClusterConfig config);
@@ -219,25 +216,29 @@ class Deployment {
 
   /// Per-node metric registry; every RPC server/client in the deployment
   /// resolved its counter handles from this at construction.
-  obs::MetricsRegistry& metrics() noexcept { return metrics_; }
-  const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
-  obs::Tracer& tracer() noexcept { return tracer_; }
-  const obs::Tracer& tracer() const noexcept { return tracer_; }
+  obs::MetricsRegistry& metrics() noexcept { return fabric_.metrics(); }
+  const obs::MetricsRegistry& metrics() const noexcept {
+    return fabric_.metrics();
+  }
+  obs::Tracer& tracer() noexcept { return fabric_.tracer(); }
+  const obs::Tracer& tracer() const noexcept { return fabric_.tracer(); }
 
   /// Deployment-global per-tenant resource ledger (always on; traffic with
   /// no tenant is exported under "none", so per-tenant sums equal the
   /// aggregate counters exactly while nothing has been evicted).  It keeps
   /// the 64 heaviest tenants exactly (util::TopK).
-  obs::TenantLedger& tenant_ledger() noexcept { return tenants_ledger_; }
+  obs::TenantLedger& tenant_ledger() noexcept { return fabric_.tenants(); }
   const obs::TenantLedger& tenant_ledger() const noexcept {
-    return tenants_ledger_;
+    return fabric_.tenants();
   }
 
   /// Flight recorder: bounded ring (4096 events) of recovery-ladder events,
   /// restarts, breaker trips, replay, grace transitions, and WARN+ log
   /// lines; `flight().to_json()` is the dump.
-  obs::FlightRecorder& flight() noexcept { return flight_; }
-  const obs::FlightRecorder& flight() const noexcept { return flight_; }
+  obs::FlightRecorder& flight() noexcept { return fabric_.flight(); }
+  const obs::FlightRecorder& flight() const noexcept {
+    return fabric_.flight();
+  }
 
   /// The run's sampler, health rules and exports.
   RunObserver& observer() noexcept { return observer_; }
@@ -300,10 +301,6 @@ class Deployment {
   sim::Simulation sim_;
   sim::Network net_;
   std::unique_ptr<sim::FaultInjector> fault_injector_;
-  obs::MetricsRegistry metrics_;
-  obs::Tracer tracer_;
-  obs::TenantLedger tenants_ledger_;
-  obs::FlightRecorder flight_;
   rpc::RpcFabric fabric_;
   RunObserver observer_{*this};
   util::LogSink prev_log_sink_;

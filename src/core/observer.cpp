@@ -99,7 +99,7 @@ void RunObserver::evaluate_health() {
                 return net.node(a).name() < net.node(b).name();
               });
     for (uint32_t i = 0; i < nodes_.size(); ++i) {
-      nodes_[i].breaker_trips = d_.metrics_.find_counter(
+      nodes_[i].breaker_trips = d_.metrics().find_counter(
           net.node(i).name(), "client.recovery", "breaker_trips");
     }
   }
@@ -157,7 +157,7 @@ void RunObserver::snapshot_resource_gauges() {
   // objects straight from the local store) still show up here.
   const auto set = [this](const std::string& node, const char* name,
                           uint64_t value) {
-    d_.metrics_.gauge(node, "node", name).set(static_cast<double>(value));
+    d_.metrics().gauge(node, "node", name).set(static_cast<double>(value));
   };
   for (uint32_t i = 0; i < d_.net_.node_count(); ++i) {
     sim::Node& n = d_.net_.node(i);
@@ -184,13 +184,13 @@ std::string RunObserver::metrics_json() {
   out += "\",\"sim_time_ns\":";
   out += std::to_string(d_.sim_.now());
   out += ",\"nodes\":";
-  out += d_.metrics_.to_json();
+  out += d_.metrics().to_json();
   out += ",\"trace\":";
-  out += d_.tracer_.to_json();
+  out += d_.tracer().to_json();
   out += ",\"slo\":";
-  out += d_.tracer_.slo_json();
+  out += d_.tracer().slo_json();
   out += ",\"tenants\":";
-  out += d_.tenants_ledger_.to_json();
+  out += d_.tenant_ledger().to_json();
   out += ",\"health\":{";
   for (uint32_t i : by_name_) {
     const NodeState& s = nodes_[i];
@@ -217,7 +217,7 @@ std::string RunObserver::metrics_json() {
 
 std::string RunObserver::trace_json() const {
   return obs::TraceExporter::to_chrome_json(
-      d_.tracer_, architecture_name(d_.config_.architecture),
+      d_.tracer(), architecture_name(d_.config_.architecture),
       samples_.empty() ? nullptr : &samples_);
 }
 

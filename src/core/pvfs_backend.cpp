@@ -347,11 +347,7 @@ Task<Status> PvfsBackend::read(FileHandle fh, uint64_t offset, uint32_t count,
       const bool short_read = piece.size() < take;
       if (short_read && pos + take < end) {
         // Interior hole in the dense view: pad to keep offsets aligned.
-        const uint64_t missing = take - piece.size();
-        piece.append(piece.is_inline() || piece.size() == 0
-                         ? Payload::inline_bytes(
-                               std::vector<std::byte>(missing, std::byte{0}))
-                         : Payload::virtual_bytes(missing));
+        rpc::zero_fill(piece, take - piece.size());
       }
       assembled.append(piece);
       if (short_read && pos + take >= end) break;

@@ -41,8 +41,7 @@ RebuildManager::RebuildManager(rpc::RpcFabric& fabric, sim::Node& node,
       config_(config),
       rpc_(fabric, node, "rebuild@SIM"),
       down_since_(storage_.size(), sim::kNever) {
-  obs::MetricsRegistry& reg =
-      fabric.metrics() != nullptr ? *fabric.metrics() : own_metrics_;
+  obs::MetricsRegistry& reg = fabric.metrics();
   const std::string& n = node.name();
   m_declared_dead_ = &reg.counter(n, "mds.rebuild", "dses_declared_dead");
   m_started_ = &reg.counter(n, "mds.rebuild", "rebuilds_started");
@@ -151,12 +150,11 @@ Task<void> RebuildManager::rebuild_node(uint32_t index) {
   m_declared_dead_->inc();
   util::logf(util::LogLevel::kWarn, "mds.rebuild", now,
              "storage daemon %u declared permanently failed", index);
-  if (obs::FlightRecorder* flight = fabric_.flight()) {
-    flight->record(now, node_.name(), "mds.rebuild", "ds.declared_dead",
-                   util::sformat("storage %u (down %lld ms)", index,
-                                 static_cast<long long>(
-                                     (now - down_since_[index]) / 1'000'000)));
-  }
+  fabric_.flight().record(
+      now, node_.name(), "mds.rebuild", "ds.declared_dead",
+      util::sformat("storage %u (down %lld ms)", index,
+                    static_cast<long long>((now - down_since_[index]) /
+                                           1'000'000)));
 
   // A spare must exist and itself be alive.
   const uint32_t active = meta_.active_storage();
@@ -177,10 +175,9 @@ Task<void> RebuildManager::rebuild_node(uint32_t index) {
   }
 
   m_started_->inc();
-  if (obs::FlightRecorder* flight = fabric_.flight()) {
-    flight->record(now, node_.name(), "mds.rebuild", "rebuild.start",
-                   util::sformat("storage %u -> spare %u", index, spare));
-  }
+  fabric_.flight().record(
+      now, node_.name(), "mds.rebuild", "rebuild.start",
+      util::sformat("storage %u -> spare %u", index, spare));
 
   // Snapshot the victim's files first: the visitor is synchronous, the
   // copies are not.  FileMeta entries are stable in the metadata tree.
@@ -225,14 +222,11 @@ Task<void> RebuildManager::rebuild_node(uint32_t index) {
              index, spare, static_cast<unsigned long long>(ok),
              static_cast<unsigned long long>(failed),
              util::format_bytes(m_bytes_->value()).c_str());
-  if (obs::FlightRecorder* flight = fabric_.flight()) {
-    flight->record(end, node_.name(), "mds.rebuild", "rebuild.complete",
-                   util::sformat("storage %u -> spare %u, %llu objects, "
-                                 "%llu failed",
-                                 index, spare,
-                                 static_cast<unsigned long long>(ok),
-                                 static_cast<unsigned long long>(failed)));
-  }
+  fabric_.flight().record(
+      end, node_.name(), "mds.rebuild", "rebuild.complete",
+      util::sformat("storage %u -> spare %u, %llu objects, %llu failed", index,
+                    spare, static_cast<unsigned long long>(ok),
+                    static_cast<unsigned long long>(failed)));
 }
 
 Task<bool> RebuildManager::rebuild_dfile(FileMeta& meta, uint32_t pos,

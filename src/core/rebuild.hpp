@@ -116,9 +116,6 @@ class RebuildManager {
   /// Since when each daemon has been continuously down (kNever = up).
   std::vector<sim::Time> down_since_;
 
-  /// The counters' store when the fabric carries no registry, so stats()
-  /// always has one to read.
-  obs::MetricsRegistry own_metrics_;
   // "mds.rebuild" component handles, resolved once at construction.
   obs::Counter* m_declared_dead_;
   obs::Counter* m_started_;

@@ -6,15 +6,16 @@ using nfs::Status;
 using sim::Task;
 
 LayoutTranslator::LayoutTranslator(PfsLayoutProvider& provider,
-                                   std::vector<nfs::DeviceEntry> devices)
-    : provider_(provider), devices_(std::move(devices)) {}
-
-void LayoutTranslator::attach_metrics(obs::MetricsRegistry& registry,
-                                      const std::string& node) {
-  m_layouts_granted_ = &registry.counter(node, "nfs.layout", "layouts_granted");
-  m_layout_commits_ = &registry.counter(node, "nfs.layout", "layout_commits");
-  m_layout_returns_ = &registry.counter(node, "nfs.layout", "layout_returns");
-}
+                                   std::vector<nfs::DeviceEntry> devices,
+                                   obs::MetricsRegistry& metrics,
+                                   const std::string& node)
+    : provider_(provider),
+      devices_(std::move(devices)),
+      m_layouts_granted_(
+          &metrics.counter(node, "nfs.layout", "layouts_granted")),
+      m_layout_commits_(&metrics.counter(node, "nfs.layout", "layout_commits")),
+      m_layout_returns_(
+          &metrics.counter(node, "nfs.layout", "layout_returns")) {}
 
 Task<Status> LayoutTranslator::get_device_list(
     std::vector<nfs::DeviceEntry>* out) {
@@ -43,7 +44,6 @@ Task<Status> LayoutTranslator::layout_get(nfs::FileHandle fh,
     out->devices.push_back(devices_[p.storage_index].device);
     out->fhs.push_back(nfs::FileHandle{p.object_id});
   }
-  ++layouts_granted_;
   m_layouts_granted_->inc();
   co_return Status::kOk;
 }
@@ -66,13 +66,12 @@ Task<Status> LayoutTranslator::layout_return(nfs::FileHandle /*fh*/) {
 }
 
 SyntheticLayoutSource::SyntheticLayoutSource(
-    std::vector<nfs::DeviceEntry> devices, uint64_t stripe_unit)
-    : devices_(std::move(devices)), stripe_unit_(stripe_unit) {}
-
-void SyntheticLayoutSource::attach_metrics(obs::MetricsRegistry& registry,
-                                           const std::string& node) {
-  m_layouts_granted_ = &registry.counter(node, "nfs.layout", "layouts_granted");
-}
+    std::vector<nfs::DeviceEntry> devices, uint64_t stripe_unit,
+    obs::MetricsRegistry& metrics, const std::string& node)
+    : devices_(std::move(devices)),
+      stripe_unit_(stripe_unit),
+      m_layouts_granted_(
+          &metrics.counter(node, "nfs.layout", "layouts_granted")) {}
 
 Task<Status> SyntheticLayoutSource::get_device_list(
     std::vector<nfs::DeviceEntry>* out) {

@@ -56,9 +56,11 @@ class PfsLayoutProvider {
 class LayoutTranslator final : public nfs::LayoutSource {
  public:
   /// `devices[i]` is the NFSv4.1 data server co-located with PFS storage
-  /// node i.
+  /// node i.  The "nfs.layout" counters live in `metrics` under `node` (the
+  /// MDS hosting the translator).
   LayoutTranslator(PfsLayoutProvider& provider,
-                   std::vector<nfs::DeviceEntry> devices);
+                   std::vector<nfs::DeviceEntry> devices,
+                   obs::MetricsRegistry& metrics, const std::string& node);
 
   sim::Task<nfs::Status> get_device_list(
       std::vector<nfs::DeviceEntry>* out) override;
@@ -70,18 +72,16 @@ class LayoutTranslator final : public nfs::LayoutSource {
                                        uint64_t* post_change) override;
   sim::Task<nfs::Status> layout_return(nfs::FileHandle fh) override;
 
-  uint64_t layouts_granted() const noexcept { return layouts_granted_; }
-
-  /// Wires "nfs.layout" counters on `node` (the MDS hosting the translator).
-  void attach_metrics(obs::MetricsRegistry& registry, const std::string& node);
+  uint64_t layouts_granted() const noexcept {
+    return m_layouts_granted_->value();
+  }
 
  private:
   PfsLayoutProvider& provider_;
   std::vector<nfs::DeviceEntry> devices_;
-  uint64_t layouts_granted_ = 0;
-  obs::Counter* m_layouts_granted_ = &obs::MetricsRegistry::null_counter();
-  obs::Counter* m_layout_commits_ = &obs::MetricsRegistry::null_counter();
-  obs::Counter* m_layout_returns_ = &obs::MetricsRegistry::null_counter();
+  obs::Counter* m_layouts_granted_;
+  obs::Counter* m_layout_commits_;
+  obs::Counter* m_layout_returns_;
 };
 
 /// Layout source for conventional file-layout pNFS (2-/3-tier): stripes
@@ -90,8 +90,11 @@ class LayoutTranslator final : public nfs::LayoutSource {
 /// exported PFS), so `fhs[i] == fh` for all i.
 class SyntheticLayoutSource final : public nfs::LayoutSource {
  public:
+  /// The "nfs.layout" counter lives in `metrics` under `node` (the MDS
+  /// hosting this source).
   SyntheticLayoutSource(std::vector<nfs::DeviceEntry> devices,
-                        uint64_t stripe_unit);
+                        uint64_t stripe_unit, obs::MetricsRegistry& metrics,
+                        const std::string& node);
 
   sim::Task<nfs::Status> get_device_list(
       std::vector<nfs::DeviceEntry>* out) override;
@@ -103,13 +106,10 @@ class SyntheticLayoutSource final : public nfs::LayoutSource {
                                        uint64_t* post_change) override;
   sim::Task<nfs::Status> layout_return(nfs::FileHandle fh) override;
 
-  /// Wires "nfs.layout" counters on `node` (the MDS hosting this source).
-  void attach_metrics(obs::MetricsRegistry& registry, const std::string& node);
-
  private:
   std::vector<nfs::DeviceEntry> devices_;
   uint64_t stripe_unit_;
-  obs::Counter* m_layouts_granted_ = &obs::MetricsRegistry::null_counter();
+  obs::Counter* m_layouts_granted_;
 };
 
 }  // namespace dpnfs::core

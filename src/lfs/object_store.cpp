@@ -282,4 +282,28 @@ Task<Payload> ObjectStore::read(ObjectId oid, uint64_t offset, uint64_t length) 
   co_return obj.content.load(offset, end - offset);
 }
 
+void StoreOpClock::finish(obs::Tracer& tracer, obs::TenantLedger& tenants,
+                          obs::TraceContext trace, const char* op,
+                          uint64_t read_bytes, uint64_t write_bytes,
+                          int64_t extra_disk_ns) const {
+  const int64_t disk_ns =
+      static_cast<int64_t>(store_.stats().disk_time_ns - disk_ns_) +
+      extra_disk_ns;
+  tenants.account_disk(trace.tenant, disk_ns);
+  if (!trace.valid()) return;
+  obs::Span span;
+  span.trace_id = trace.trace_id;
+  span.span_id = tracer.begin(trace).span_id;
+  span.parent_span_id = trace.span_id;
+  span.kind = obs::SpanKind::kInternal;
+  span.name = std::string("store/") + op;
+  span.node = store_.node().name();
+  span.start = start_;
+  span.end = store_.node().simulation().now();
+  span.bytes_out = read_bytes;
+  span.bytes_in = write_bytes;
+  span.disk = disk_ns;
+  tracer.record(std::move(span));
+}
+
 }  // namespace dpnfs::lfs

@@ -29,7 +29,9 @@
 #include "sim/network.hpp"
 #include "sim/sync.hpp"
 #include "util/interval_set.hpp"
+#include "util/obs.hpp"
 #include "util/range_buffer.hpp"
+#include "util/tenant.hpp"
 
 namespace dpnfs::lfs {
 
@@ -179,6 +181,32 @@ class ObjectStore {
       resident_;
 
   ObjectStoreStats stats_;
+};
+
+/// Times one store access made on behalf of an RPC request.  `finish`
+/// records it as a kInternal "store/<op>" span under the request's span, so
+/// the critical-path analyzer can attribute disk time instead of folding it
+/// into CPU, and charges the disk time to the request's tenant (it rides
+/// the call header, so untraced requests are charged too).  The disk time is
+/// the store's disk-time delta across the access: with concurrent ops on one
+/// store it can include write-back the store did while this op was blocked
+/// on it, which is still time this op spent waiting on the disk.
+class StoreOpClock {
+ public:
+  explicit StoreOpClock(ObjectStore& store)
+      : store_(store),
+        start_(store.node().simulation().now()),
+        disk_ns_(store.stats().disk_time_ns) {}
+
+  /// `extra_disk_ns` adds disk time spent outside the store.
+  void finish(obs::Tracer& tracer, obs::TenantLedger& tenants,
+              obs::TraceContext trace, const char* op, uint64_t read_bytes,
+              uint64_t write_bytes, int64_t extra_disk_ns = 0) const;
+
+ private:
+  ObjectStore& store_;
+  int64_t start_;
+  uint64_t disk_ns_;
 };
 
 }  // namespace dpnfs::lfs

@@ -79,8 +79,7 @@ NfsClient::NfsClient(rpc::RpcFabric& fabric, sim::Node& node,
       mds_(mds),
       rpc_(fabric, node, std::move(principal)),
       config_(config),
-      aggregations_(std::move(aggregations)),
-      metrics_(fabric.metrics() != nullptr ? fabric.metrics() : &own_metrics_) {
+      aggregations_(std::move(aggregations)) {
   rpc_.set_tenant(config_.tenant_id);
   if (!aggregations_) {
     aggregations_ = std::make_shared<const AggregationRegistry>(
@@ -88,7 +87,7 @@ NfsClient::NfsClient(rpc::RpcFabric& fabric, sim::Node& node,
   }
   const std::string& n = node.name();
   const auto counter = [&](const char* component, const char* name) {
-    return &metrics_->counter(n, component, name);
+    return &fabric.metrics().counter(n, component, name);
   };
   m_hit_bytes_ = counter("client.cache", "hit_bytes");
   m_miss_bytes_ = counter("client.cache", "miss_bytes");
@@ -120,7 +119,6 @@ NfsClient::NfsClient(rpc::RpcFabric& fabric, sim::Node& node,
   m_degraded_commits_ = counter("client.redundancy", "degraded_commits");
   // Transport-level retries surface under this client's recovery component.
   rpc_.set_retry_counter(m_rpc_retries_);
-  tracer_ = fabric.tracer();
   tx_gate_ = std::make_unique<sim::Semaphore>(
       fabric.simulation(), std::max<uint32_t>(1, config_.wb_wire_tokens));
 }
@@ -331,10 +329,8 @@ Task<rpc::RpcClient::Reply> NfsClient::call(rpc::RpcAddress addr,
 
 void NfsClient::flight_event(const char* kind,
                              const std::string& detail) const {
-  if (obs::FlightRecorder* flight = fabric_.flight()) {
-    flight->record(fabric_.simulation().now(), node_.name(), "nfs.client",
-                   kind, detail);
-  }
+  fabric_.flight().record(fabric_.simulation().now(), node_.name(),
+                          "nfs.client", kind, detail);
 }
 
 // ---------------------------------------------------------------------------
@@ -923,21 +919,20 @@ void NfsClient::redirty_lost(FileState& f, size_t target) {
   it->second.uncommitted.clear();
   m_replayed_extents_->add(extents);
   m_replayed_bytes_->add(bytes);
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    obs::TraceContext ctx = tracer_->begin({});
-    obs::Span span;
-    span.trace_id = ctx.trace_id;
-    span.span_id = ctx.span_id;
-    span.kind = obs::SpanKind::kInternal;
-    span.name = "wb.replay/" +
-                (target == IoSlice::kMds ? std::string("mds")
-                                         : "dev" + std::to_string(target));
-    span.node = node_.name();
-    span.start = fabric_.simulation().now();
-    span.end = fabric_.simulation().now();
-    span.bytes_out = bytes;
-    tracer_->record(std::move(span));
-  }
+  obs::Tracer& tracer = fabric_.tracer();
+  const obs::TraceContext ctx = tracer.begin({});
+  obs::Span span;
+  span.trace_id = ctx.trace_id;
+  span.span_id = ctx.span_id;
+  span.kind = obs::SpanKind::kInternal;
+  span.name = "wb.replay/" +
+              (target == IoSlice::kMds ? std::string("mds")
+                                       : "dev" + std::to_string(target));
+  span.node = node_.name();
+  span.start = fabric_.simulation().now();
+  span.end = fabric_.simulation().now();
+  span.bytes_out = bytes;
+  tracer.record(std::move(span));
   flight_event(
       "wb.replay",
       util::sformat("fileid %llu target %lld %llu bytes %llu extents",
@@ -1625,7 +1620,7 @@ Task<uint64_t> NfsClient::fetch_range(FilePtr file, uint64_t start,
   // (strided misses — a dense demand read or readahead always collapses to
   // rsize-sized pieces), route them all up front and fold the slices bound
   // for the same server into vectored READs of up to rsize total bytes.
-  if (config_.listio_enabled && fetches.size() > 1) {
+  if (config_.listio_max_regions > 1 && fetches.size() > 1) {
     co_await ensure_layout_fresh(*file);
     struct SliceRef {
       size_t fetch_idx;
@@ -1781,13 +1776,14 @@ NfsClient::DsSched& NfsClient::sched_for(const rpc::RpcAddress& addr) {
       fabric_.simulation(), std::max<uint32_t>(1, config_.wb_window_per_ds));
   sched.label =
       (addr == mds_) ? "mds" : "ds" + std::to_string(addr.node_id);
+  obs::MetricsRegistry& reg = fabric_.metrics();
   const std::string& n = node_.name();
   sched.m_queue_depth =
-      &metrics_->gauge(n, "client.sched", "queue_depth_" + sched.label);
+      &reg.gauge(n, "client.sched", "queue_depth_" + sched.label);
   sched.m_queue_peak =
-      &metrics_->gauge(n, "client.sched", "queue_depth_peak_" + sched.label);
+      &reg.gauge(n, "client.sched", "queue_depth_peak_" + sched.label);
   sched.m_window_inflight =
-      &metrics_->gauge(n, "client.sched", "window_inflight_" + sched.label);
+      &reg.gauge(n, "client.sched", "window_inflight_" + sched.label);
   return scheds_.emplace(addr, std::move(sched)).first->second;
 }
 
@@ -1889,7 +1885,7 @@ Task<void> NfsClient::wb_worker(FilePtr file, rpc::RpcAddress addr) {
     std::vector<Payload> payloads;
     payloads.push_back(std::move(first.data));
     uint64_t total = s.length;
-    if (config_.coalesce_writes && config_.listio_enabled) {
+    if (config_.coalesce_writes && config_.listio_max_regions > 1) {
       while (slices.size() < config_.listio_max_regions &&
              total < config_.wsize) {
         auto more = sched.queues.find(ino);
@@ -1944,8 +1940,7 @@ Task<void> NfsClient::wb_worker(FilePtr file, rpc::RpcAddress addr) {
     // Root an internal span over queue-entry -> WRITE-done so analyze_trace
     // can attribute client-queue time per DS; the WRITE RPC below becomes
     // its child hop.
-    obs::TraceContext ctx;
-    if (tracer_ != nullptr && tracer_->enabled()) ctx = tracer_->begin({});
+    const obs::TraceContext ctx = fabric_.tracer().begin({});
     const sim::Time dispatched_at = fabric_.simulation().now();
 
     StatusCollector errors;
@@ -1988,20 +1983,18 @@ Task<void> NfsClient::wb_worker(FilePtr file, rpc::RpcAddress addr) {
     m_sched_writes_->inc();
     m_sched_bytes_->add(total);
 
-    if (tracer_ != nullptr && ctx.valid()) {
-      obs::Span span;
-      span.trace_id = ctx.trace_id;
-      span.span_id = ctx.span_id;
-      span.kind = obs::SpanKind::kInternal;
-      span.name = "wb.sched/" + sched.label;
-      span.node = node_.name();
-      span.start = first_enq;
-      span.end = fabric_.simulation().now();
-      span.queue_wait = dispatched_at - first_enq;
-      span.bytes_out = total;
-      span.error = errors.failed();
-      tracer_->record(std::move(span));
-    }
+    obs::Span span;
+    span.trace_id = ctx.trace_id;
+    span.span_id = ctx.span_id;
+    span.kind = obs::SpanKind::kInternal;
+    span.name = "wb.sched/" + sched.label;
+    span.node = node_.name();
+    span.start = first_enq;
+    span.end = fabric_.simulation().now();
+    span.queue_wait = dispatched_at - first_enq;
+    span.bytes_out = total;
+    span.error = errors.failed();
+    fabric_.tracer().record(std::move(span));
 
     if (!errors.failed() && config_.wb_commit_backlog != 0) {
       uint64_t& backlog = sched.uncommitted[ino];

@@ -57,12 +57,11 @@ struct ClientConfig {
   /// Merge adjacent dirty extents bound for the same DS into one WRITE of up
   /// to wsize before dispatch (elevator-style coalescing).  Ablation switch.
   bool coalesce_writes = true;
-  /// List I/O: fold multiple *non-adjacent* dirty runs for the same DS into
-  /// one vectored WRITEV (up to wsize total bytes), and batch strided read
-  /// misses into READV the same way.  Single-range requests always use the
-  /// classic one-range ops regardless of this switch.  Ablation switch.
-  bool listio_enabled = true;
-  /// Max (offset, length) regions one vectored request may carry.
+  /// List I/O: fold up to this many *non-adjacent* dirty runs for the same
+  /// DS into one vectored WRITEV (up to wsize total bytes), and batch
+  /// strided read misses into READV the same way.  1 turns list I/O off.
+  /// Single-range requests always use the classic one-range ops.  Ablation
+  /// switch.
   uint32_t listio_max_regions = 64;
   /// Write-back dispatches admitted to the NIC concurrently.  The NIC
   /// serializes frames, so launching every per-DS pipeline at once just
@@ -517,11 +516,6 @@ class NfsClient {
   uint64_t dirty_bytes_ = 0;
   uint64_t lru_clock_ = 0;
 
-  /// The counters' store when the fabric carries no registry, so stats()
-  /// always has one to read.
-  obs::MetricsRegistry own_metrics_;
-  obs::MetricsRegistry* metrics_;  ///< the fabric's registry, or own_metrics_
-
   // "client.cache" component handles, resolved once at construction.
   obs::Counter* m_hit_bytes_;
   obs::Counter* m_miss_bytes_;
@@ -555,10 +549,6 @@ class NfsClient {
   obs::Counter* m_ec_reconstructions_;
   obs::Counter* m_degraded_writes_;
   obs::Counter* m_degraded_commits_;
-  /// Trace sink (null when the fabric carries no tracer); write-back
-  /// dispatches emit a root span here so analyze_trace can attribute
-  /// client-queue time per DS.
-  obs::Tracer* tracer_ = nullptr;
 };
 
 /// Open-file state; exposed so deployments can inspect (tests) but opaque in

@@ -5,8 +5,10 @@ namespace dpnfs::nfs {
 using rpc::Payload;
 using sim::Task;
 
-LocalBackend::LocalBackend(lfs::ObjectStore& store, bool flat_object_mode)
-    : store_(store), flat_(flat_object_mode) {
+LocalBackend::LocalBackend(lfs::ObjectStore& store, obs::Tracer& tracer,
+                           obs::TenantLedger& tenants, bool flat_object_mode)
+    : store_(store), tracer_(tracer), tenants_(tenants),
+      flat_(flat_object_mode) {
   if (!flat_) {
     Inode root;
     root.type = FileType::kDirectory;
@@ -170,28 +172,6 @@ Task<Status> LocalBackend::readdir(FileHandle dir, std::vector<DirEntry>* out) {
   co_return Status::kOk;
 }
 
-void LocalBackend::trace_store_op(obs::TraceContext trace, const char* op,
-                                  int64_t start, uint64_t bytes_in,
-                                  uint64_t bytes_out, int64_t disk_ns) const {
-  // Disk attribution happens even untraced: the tenant rode in on the call
-  // header, not the (sampled) trace.
-  if (tenants_ != nullptr) tenants_->account_disk(trace.tenant, disk_ns);
-  if (tracer_ == nullptr || !trace.valid()) return;
-  obs::Span span;
-  span.trace_id = trace.trace_id;
-  span.span_id = tracer_->begin(trace).span_id;
-  span.parent_span_id = trace.span_id;
-  span.kind = obs::SpanKind::kInternal;
-  span.name = std::string("store/") + op;
-  span.node = node_name_;
-  span.start = start;
-  span.end = store_.node().simulation().now();
-  span.bytes_out = bytes_out;
-  span.bytes_in = bytes_in;
-  span.disk = disk_ns;
-  tracer_->record(std::move(span));
-}
-
 Task<Status> LocalBackend::read(FileHandle fh, uint64_t offset, uint32_t count,
                                 rpc::Payload* out, bool* eof,
                                 obs::TraceContext trace) {
@@ -205,12 +185,10 @@ Task<Status> LocalBackend::read(FileHandle fh, uint64_t offset, uint32_t count,
     *eof = true;
     co_return Status::kOk;
   }
-  const int64_t start = store_.node().simulation().now();
-  const uint64_t disk0 = store_.stats().disk_time_ns;
+  const lfs::StoreOpClock clock(store_);
   *out = co_await store_.read(fh.id, offset, count);
   *eof = (offset + out->size() >= store_.size(fh.id));
-  trace_store_op(trace, "read", start, 0, out->size(),
-                 static_cast<int64_t>(store_.stats().disk_time_ns - disk0));
+  clock.finish(tracer_, tenants_, trace, "read", out->size(), 0);
   co_return Status::kOk;
 }
 
@@ -226,22 +204,18 @@ Task<Status> LocalBackend::write(FileHandle fh, uint64_t offset,
     bump(*node);
     *post_change = node->change;
   }
-  const int64_t start = store_.node().simulation().now();
-  const uint64_t disk0 = store_.stats().disk_time_ns;
+  const lfs::StoreOpClock clock(store_);
   co_await store_.write(fh.id, offset, data, stable != StableHow::kUnstable);
   *committed = stable;
-  trace_store_op(trace, "write", start, data.size(), 0,
-                 static_cast<int64_t>(store_.stats().disk_time_ns - disk0));
+  clock.finish(tracer_, tenants_, trace, "write", 0, data.size());
   co_return Status::kOk;
 }
 
 Task<Status> LocalBackend::commit(FileHandle fh, obs::TraceContext trace) {
   if (!flat_ && find(fh.id) == nullptr) co_return Status::kStale;
-  const int64_t start = store_.node().simulation().now();
-  const uint64_t disk0 = store_.stats().disk_time_ns;
+  const lfs::StoreOpClock clock(store_);
   co_await store_.commit(fh.id);
-  trace_store_op(trace, "commit", start, 0, 0,
-                 static_cast<int64_t>(store_.stats().disk_time_ns - disk0));
+  clock.finish(tracer_, tenants_, trace, "commit", 0, 0);
   co_return Status::kOk;
 }
 

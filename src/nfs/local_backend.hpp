@@ -21,8 +21,12 @@ namespace dpnfs::nfs {
 class LocalBackend final : public Backend {
  public:
   /// `flat_object_mode`: any filehandle is treated as an object id in the
-  /// store (created on first write).  Namespace ops return NOTSUPP.
-  explicit LocalBackend(lfs::ObjectStore& store, bool flat_object_mode = false);
+  /// store (created on first write).  Namespace ops return NOTSUPP.  Store
+  /// accesses show up in `tracer` as internal spans under the serving
+  /// request (the Direct-pNFS "no extra hop" evidence), and their disk time
+  /// is charged in `tenants` to the tenant that request carries.
+  LocalBackend(lfs::ObjectStore& store, obs::Tracer& tracer,
+               obs::TenantLedger& tenants, bool flat_object_mode = false);
 
   FileHandle root_fh() const override { return FileHandle{kRootIno}; }
 
@@ -58,17 +62,6 @@ class LocalBackend final : public Backend {
     store_.drop_caches();
   }
 
-  /// Attaches a tracer: local store accesses then show up as internal spans
-  /// under the serving request (the Direct-pNFS "no extra hop" evidence).
-  void attach_tracer(obs::Tracer* tracer, std::string node_name) {
-    tracer_ = tracer;
-    node_name_ = std::move(node_name);
-  }
-
-  /// Attaches a tenant ledger: local store disk time is then charged to the
-  /// tenant each serving request carries (tenant 0 → "none").
-  void attach_tenants(obs::TenantLedger* tenants) { tenants_ = tenants; }
-
   lfs::ObjectStore& store() noexcept { return store_; }
 
  private:
@@ -85,21 +78,10 @@ class LocalBackend final : public Backend {
   uint64_t alloc_inode(FileType type);
   void bump(Inode& inode);
 
-  /// Records one internal span covering a store access (no-op untraced) and
-  /// charges the request tenant's disk time when a ledger is attached.
-  /// `disk_ns` is the store's disk-time delta across the access; with
-  /// concurrent ops on one store it can include writeback the store did
-  /// while this op was blocked on it — which is still the time this op
-  /// spent waiting on the disk.
-  void trace_store_op(obs::TraceContext trace, const char* op, int64_t start,
-                      uint64_t bytes_in, uint64_t bytes_out,
-                      int64_t disk_ns) const;
-
   lfs::ObjectStore& store_;
+  obs::Tracer& tracer_;
+  obs::TenantLedger& tenants_;
   bool flat_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::TenantLedger* tenants_ = nullptr;
-  std::string node_name_;
   std::unordered_map<uint64_t, Inode> inodes_;
   uint64_t next_ino_ = 2;
 };

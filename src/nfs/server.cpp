@@ -19,21 +19,13 @@ NfsServer::NfsServer(rpc::RpcFabric& fabric, sim::Node& node, uint16_t port,
       backend_(backend),
       layouts_(layouts),
       config_(config) {
-  if (obs::MetricsRegistry* reg = fabric.metrics()) {
-    const std::string& n = node.name();
-    m_compounds_ = &reg->counter(n, "nfs.server", "compounds");
-    m_read_bytes_ = &reg->counter(n, "nfs.server", "read_bytes");
-    m_write_bytes_ = &reg->counter(n, "nfs.server", "write_bytes");
-    m_layouts_recalled_ = &reg->counter(n, "nfs.server", "layout_recalls");
-    m_delegation_recalls_ =
-        &reg->counter(n, "nfs.server", "delegation_recalls");
-  } else {
-    m_compounds_ = &obs::MetricsRegistry::null_counter();
-    m_read_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_write_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_layouts_recalled_ = &obs::MetricsRegistry::null_counter();
-    m_delegation_recalls_ = &obs::MetricsRegistry::null_counter();
-  }
+  obs::MetricsRegistry& reg = fabric.metrics();
+  const std::string& n = node.name();
+  m_compounds_ = &reg.counter(n, "nfs.server", "compounds");
+  m_read_bytes_ = &reg.counter(n, "nfs.server", "read_bytes");
+  m_write_bytes_ = &reg.counter(n, "nfs.server", "write_bytes");
+  m_layouts_recalled_ = &reg.counter(n, "nfs.server", "layout_recalls");
+  m_delegation_recalls_ = &reg.counter(n, "nfs.server", "delegation_recalls");
   rpc_server_ = std::make_unique<rpc::RpcServer>(
       fabric, node, port, config.worker_threads,
       [this](const rpc::CallContext& ctx, XdrDecoder& args,
@@ -81,19 +73,16 @@ void NfsServer::check_restart(sim::Time now) {
              node_.name().c_str(), port_,
              static_cast<unsigned long long>(instance),
              static_cast<unsigned long long>(boot_verifier_));
-  if (obs::FlightRecorder* flight = fabric_.flight()) {
-    flight->record(now, node_.name(), "nfs.server", "restart",
-                   util::sformat("port %u instance %llu verifier %016llx",
-                                 port_,
-                                 static_cast<unsigned long long>(instance),
-                                 static_cast<unsigned long long>(
-                                     boot_verifier_)));
-    if (config_.grace_period > 0) {
-      flight->record(now, node_.name(), "nfs.server", "grace.enter",
-                     util::sformat("port %u until %lld ns", port_,
-                                   static_cast<long long>(grace_until_)));
-      grace_logged_ = false;
-    }
+  obs::FlightRecorder& flight = fabric_.flight();
+  flight.record(now, node_.name(), "nfs.server", "restart",
+                util::sformat("port %u instance %llu verifier %016llx", port_,
+                              static_cast<unsigned long long>(instance),
+                              static_cast<unsigned long long>(boot_verifier_)));
+  if (config_.grace_period > 0) {
+    flight.record(now, node_.name(), "nfs.server", "grace.enter",
+                  util::sformat("port %u until %lld ns", port_,
+                                static_cast<long long>(grace_until_)));
+    grace_logged_ = false;
   }
 }
 
@@ -172,13 +161,10 @@ Task<void> NfsServer::serve(const rpc::CallContext& ctx, XdrDecoder& args,
   check_restart(fabric_.simulation().now());
   if (!grace_logged_ && !in_grace(fabric_.simulation().now())) {
     grace_logged_ = true;
-    if (obs::FlightRecorder* flight = fabric_.flight()) {
-      flight->record(fabric_.simulation().now(), node_.name(), "nfs.server",
-                     "grace.exit",
-                     util::sformat("port %u instance %llu", unsigned{port_},
-                                   static_cast<unsigned long long>(
-                                       boot_instance_)));
-    }
+    fabric_.flight().record(
+        fabric_.simulation().now(), node_.name(), "nfs.server", "grace.exit",
+        util::sformat("port %u instance %llu", unsigned{port_},
+                      static_cast<unsigned long long>(boot_instance_)));
   }
   const uint32_t op_count = args.get_u32();
   if (op_count > 64) throw rpc::XdrError("compound too long");
@@ -418,9 +404,7 @@ Task<Status> NfsServer::dispatch(OpCode op, const rpc::CallContext& ctx,
         res.data.append(std::move(data));
       }
       m_read_bytes_->add(res.data.size());
-      if (obs::TenantLedger* tenants = fabric_.tenants()) {
-        tenants->account_data(ctx.trace.tenant, res.data.size(), 0);
-      }
+      fabric_.tenants().account_data(ctx.trace.tenant, res.data.size(), 0);
       if (op == OpCode::kRead) {
         ReadRes{res.eof, std::move(res.data)}.encode(results);
       } else {
@@ -455,9 +439,7 @@ Task<Status> NfsServer::dispatch(OpCode op, const rpc::CallContext& ctx,
         post_change = std::max(post_change, pc);
       }
       m_write_bytes_->add(a.data.size());
-      if (obs::TenantLedger* tenants = fabric_.tenants()) {
-        tenants->account_data(ctx.trace.tenant, 0, a.data.size());
-      }
+      fabric_.tenants().account_data(ctx.trace.tenant, 0, a.data.size());
       WriteRes{a.data.size(), committed, post_change, boot_verifier_}
           .encode(results);
       co_return Status::kOk;

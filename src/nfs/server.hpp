@@ -140,8 +140,7 @@ class NfsServer {
   };
   std::unordered_map<uint64_t, OpenState> open_states_;  // stateid -> state
 
-  // "nfs.server" component handles, resolved once at construction (null
-  // sinks when the fabric carries no registry).
+  // "nfs.server" component handles, resolved once at construction.
   obs::Counter* m_compounds_;
   obs::Counter* m_read_bytes_;
   obs::Counter* m_write_bytes_;

@@ -37,8 +37,7 @@ PvfsClient::PvfsClient(rpc::RpcFabric& fabric, sim::Node& node,
       buffers_(fabric.simulation(), config.buffer_count),
       daemons_(storage_.size()) {
   rpc_.set_tenant(config_.tenant_id);
-  obs::MetricsRegistry& reg =
-      fabric.metrics() != nullptr ? *fabric.metrics() : own_metrics_;
+  obs::MetricsRegistry& reg = fabric.metrics();
   const std::string& n = node.name();
   m_verifier_mismatches_ =
       &reg.counter(n, "client.replay", "verifier_mismatches");
@@ -169,8 +168,7 @@ std::vector<std::vector<size_t>> PvfsClient::batch_pieces(
     by_dfile[pieces[i].dfile_index].push_back(i);
   }
   const uint64_t max_regions =
-      config_.listio_enabled ? std::max<uint32_t>(config_.listio_max_regions, 1)
-                             : 1;
+      std::max<uint32_t>(config_.listio_max_regions, 1);
   std::vector<std::vector<size_t>> batches;
   for (const auto& [dfile_index, idxs] : by_dfile) {
     std::vector<size_t> cur;
@@ -304,16 +302,14 @@ void PvfsClient::note_daemon_verifier(uint32_t server_index,
              static_cast<unsigned long long>(old_verifier),
              static_cast<unsigned long long>(verifier),
              static_cast<unsigned long long>(moved));
-  if (obs::FlightRecorder* flight = fabric_.flight()) {
-    flight->record(node_.simulation().now(), node_.name(), "pvfs.client",
-                   "verifier.mismatch",
-                   util::sformat("daemon %u %016llx -> %016llx, %llu bytes "
-                                 "queued",
-                                 static_cast<unsigned>(server_index),
-                                 static_cast<unsigned long long>(old_verifier),
-                                 static_cast<unsigned long long>(verifier),
-                                 static_cast<unsigned long long>(moved)));
-  }
+  fabric_.flight().record(
+      node_.simulation().now(), node_.name(), "pvfs.client",
+      "verifier.mismatch",
+      util::sformat("daemon %u %016llx -> %016llx, %llu bytes queued",
+                    static_cast<unsigned>(server_index),
+                    static_cast<unsigned long long>(old_verifier),
+                    static_cast<unsigned long long>(verifier),
+                    static_cast<unsigned long long>(moved)));
 }
 
 void PvfsClient::drop_replay_state() {
@@ -360,17 +356,12 @@ Task<uint64_t> PvfsClient::replay_stale(PvfsFilePtr file,
       replayed += idx.size();
       m_replayed_extents_->add(idx.size());
       m_replayed_bytes_->add(bytes);
-      if (obs::FlightRecorder* flight = fabric_.flight()) {
-        flight->record(node_.simulation().now(), node_.name(), "pvfs.client",
-                       "wb.replay",
-                       util::sformat("daemon %u object %llu %llu bytes "
-                                     "%zu extents",
-                                     static_cast<unsigned>(dfile.server_index),
-                                     static_cast<unsigned long long>(
-                                         dfile.object_id),
-                                     static_cast<unsigned long long>(bytes),
-                                     idx.size()));
-      }
+      fabric_.flight().record(
+          node_.simulation().now(), node_.name(), "pvfs.client", "wb.replay",
+          util::sformat("daemon %u object %llu %llu bytes %zu extents",
+                        static_cast<unsigned>(dfile.server_index),
+                        static_cast<unsigned long long>(dfile.object_id),
+                        static_cast<unsigned long long>(bytes), idx.size()));
       note_daemon_verifier(dfile.server_index, verifier);
       for (size_t i : idx) {
         retain_piece(dfile.server_index, dfile.object_id,

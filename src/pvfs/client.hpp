@@ -40,10 +40,10 @@ struct PvfsClientConfig {
   uint32_t io_retries = 1;        ///< attempts per storage request (>= 1)
   sim::Duration meta_timeout = 0;
   uint32_t meta_retries = 1;
-  /// List I/O: fold multiple (offset, length) regions of one dfile into a
-  /// single kReadv/kWritev request.  Off, every region is its own request.
-  bool listio_enabled = true;
-  uint32_t listio_max_regions = 64;  ///< regions per vectored request
+  /// List I/O: fold up to this many (offset, length) regions of one dfile
+  /// into a single kReadv/kWritev request.  1 turns it off: every region is
+  /// its own request.
+  uint32_t listio_max_regions = 64;
   /// Tenant identity stamped into RPCs this client *originates* (0: none).
   /// Proxied calls (a pNFS server serving some tenant's I/O) propagate the
   /// tenant riding in on the serving request instead.
@@ -228,9 +228,6 @@ class PvfsClient {
   uint64_t bytes_written_ = 0;
   uint64_t storage_requests_ = 0;
 
-  /// The counters' store when the fabric carries no registry, so stats()
-  /// always has one to read.
-  obs::MetricsRegistry own_metrics_;
   // "client.replay" component handles, resolved once at construction.
   obs::Counter* m_verifier_mismatches_;
   obs::Counter* m_replayed_extents_;

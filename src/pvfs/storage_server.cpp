@@ -22,19 +22,12 @@ PvfsStorageServer::PvfsStorageServer(rpc::RpcFabric& fabric, sim::Node& node,
                                      StorageServerConfig config)
     : fabric_(fabric), node_(node), port_(port), store_(store),
       config_(config) {
-  if (obs::MetricsRegistry* reg = fabric.metrics()) {
-    const std::string& n = node.name();
-    m_requests_ = &reg->counter(n, "pvfs.io", "requests");
-    m_bytes_read_ = &reg->counter(n, "pvfs.io", "bytes_read");
-    m_bytes_written_ = &reg->counter(n, "pvfs.io", "bytes_written");
-    m_commits_ = &reg->counter(n, "pvfs.io", "commits");
-  } else {
-    m_requests_ = &obs::MetricsRegistry::null_counter();
-    m_bytes_read_ = &obs::MetricsRegistry::null_counter();
-    m_bytes_written_ = &obs::MetricsRegistry::null_counter();
-    m_commits_ = &obs::MetricsRegistry::null_counter();
-  }
-  tracer_ = fabric.tracer();
+  obs::MetricsRegistry& reg = fabric.metrics();
+  const std::string& n = node.name();
+  m_requests_ = &reg.counter(n, "pvfs.io", "requests");
+  m_bytes_read_ = &reg.counter(n, "pvfs.io", "bytes_read");
+  m_bytes_written_ = &reg.counter(n, "pvfs.io", "bytes_written");
+  m_commits_ = &reg.counter(n, "pvfs.io", "commits");
   rpc_server_ = std::make_unique<rpc::RpcServer>(
       fabric, node, port, config.buffers,
       [this](const rpc::CallContext& ctx, XdrDecoder& args,
@@ -43,37 +36,15 @@ PvfsStorageServer::PvfsStorageServer(rpc::RpcFabric& fabric, sim::Node& node,
       });
 }
 
-PvfsStorageServer::StoreClock PvfsStorageServer::start_store_op() const {
-  return {node_.simulation().now(), store_.stats().disk_time_ns};
-}
-
 void PvfsStorageServer::finish_store_op(const rpc::CallContext& ctx,
-                                        const char* op, StoreClock clock,
+                                        const char* op,
+                                        const lfs::StoreOpClock& clock,
                                         uint64_t read_bytes,
                                         uint64_t write_bytes,
                                         int64_t extra_disk_ns) const {
-  const int64_t disk_ns =
-      static_cast<int64_t>(store_.stats().disk_time_ns - clock.disk_ns) +
-      extra_disk_ns;
-  if (tracer_ != nullptr && ctx.trace.valid()) {
-    obs::Span span;
-    span.trace_id = ctx.trace.trace_id;
-    span.span_id = tracer_->begin(ctx.trace).span_id;
-    span.parent_span_id = ctx.trace.span_id;
-    span.kind = obs::SpanKind::kInternal;
-    span.name = std::string("store/") + op;
-    span.node = node_.name();
-    span.start = clock.start;
-    span.end = node_.simulation().now();
-    span.bytes_out = read_bytes;
-    span.bytes_in = write_bytes;
-    span.disk = disk_ns;
-    tracer_->record(std::move(span));
-  }
-  if (obs::TenantLedger* tenants = fabric_.tenants()) {
-    tenants->account_data(ctx.trace.tenant, read_bytes, write_bytes);
-    tenants->account_disk(ctx.trace.tenant, disk_ns);
-  }
+  fabric_.tenants().account_data(ctx.trace.tenant, read_bytes, write_bytes);
+  clock.finish(fabric_.tracer(), fabric_.tenants(), ctx.trace, op, read_bytes,
+               write_bytes, extra_disk_ns);
 }
 
 void PvfsStorageServer::check_restart(sim::Time now) {
@@ -97,14 +68,12 @@ void PvfsStorageServer::check_restart(sim::Time now) {
              node_.name().c_str(), static_cast<unsigned>(port_),
              static_cast<unsigned long long>(instance),
              static_cast<unsigned long long>(boot_verifier_));
-  if (obs::FlightRecorder* flight = fabric_.flight()) {
-    flight->record(now, node_.name(), "pvfs.io", "restart",
-                   util::sformat("port %u instance %llu verifier %016llx",
-                                 static_cast<unsigned>(port_),
-                                 static_cast<unsigned long long>(instance),
-                                 static_cast<unsigned long long>(
-                                     boot_verifier_)));
-  }
+  fabric_.flight().record(
+      now, node_.name(), "pvfs.io", "restart",
+      util::sformat("port %u instance %llu verifier %016llx",
+                    static_cast<unsigned>(port_),
+                    static_cast<unsigned long long>(instance),
+                    static_cast<unsigned long long>(boot_verifier_)));
 }
 
 Task<void> PvfsStorageServer::charge_cpu(uint64_t bytes) {
@@ -139,7 +108,7 @@ Task<void> PvfsStorageServer::serve(const rpc::CallContext& ctx,
           lo = std::min(lo, r.offset);
           hi = std::max(hi, r.offset + r.length);
         }
-        const StoreClock clock = start_store_op();
+        const lfs::StoreOpClock clock(store_);
         const rpc::Payload span =
             co_await store_.read(a.object_id, lo, hi - lo);
         uint64_t out_bytes = 0;
@@ -161,7 +130,7 @@ Task<void> PvfsStorageServer::serve(const rpc::CallContext& ctx,
         const uint64_t total = a.data.size();
         co_await charge_cpu(total);
         m_bytes_written_->add(total);
-        const StoreClock clock = start_store_op();
+        const lfs::StoreOpClock clock(store_);
         uint64_t pos = 0;
         for (const IoRegion& r : a.regions) {
           co_await store_.write(a.object_id, r.offset,
@@ -181,7 +150,7 @@ Task<void> PvfsStorageServer::serve(const rpc::CallContext& ctx,
         const ObjectArgs a = ObjectArgs::decode(args);
         m_commits_->inc();
         co_await charge_cpu(0);
-        const StoreClock clock = start_store_op();
+        const lfs::StoreOpClock clock(store_);
         co_await store_.commit(a.object_id);
         // The daemon's bstream fdatasync touches the disk even when the
         // object is clean (journal/metadata update).

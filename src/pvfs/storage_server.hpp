@@ -57,20 +57,11 @@ class PvfsStorageServer {
   /// The per-request CPU charge: fixed overhead plus a per-byte copy cost.
   sim::Task<void> charge_cpu(uint64_t bytes);
 
-  /// When a store operation began, and the store's disk time by then.
-  struct StoreClock {
-    int64_t start = 0;
-    uint64_t disk_ns = 0;
-  };
-  StoreClock start_store_op() const;
-  /// Ends the store operation begun at `clock`.  Records a kInternal
-  /// "store/<op>" span under the request's server span, so the
-  /// critical-path analyzer can attribute daemon disk time instead of
-  /// folding it into CPU, and charges the request's tenant (from the
-  /// propagated call header) with the daemon-side data bytes and disk time.
-  /// `extra_disk_ns` adds disk time spent outside the store.
+  /// Ends the store operation timed by `clock`: records its "store/<op>"
+  /// span and disk time (lfs::StoreOpClock), and charges the request's
+  /// tenant with the daemon-side data bytes too.
   void finish_store_op(const rpc::CallContext& ctx, const char* op,
-                       StoreClock clock, uint64_t read_bytes,
+                       const lfs::StoreOpClock& clock, uint64_t read_bytes,
                        uint64_t write_bytes, int64_t extra_disk_ns = 0) const;
 
   rpc::RpcFabric& fabric_;
@@ -86,13 +77,11 @@ class PvfsStorageServer {
   uint64_t boot_verifier_ = 0;
   uint64_t restarts_ = 0;
 
-  // "pvfs.io" component handles, resolved once at construction (null sinks
-  // when the fabric carries no registry).
+  // "pvfs.io" component handles, resolved once at construction.
   obs::Counter* m_requests_;
   obs::Counter* m_bytes_read_;
   obs::Counter* m_bytes_written_;
   obs::Counter* m_commits_;
-  obs::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace dpnfs::pvfs

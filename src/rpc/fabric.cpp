@@ -105,24 +105,16 @@ RpcServer::RpcServer(RpcFabric& fabric, sim::Node& node, uint16_t port,
       service_(std::move(service)),
       queue_(fabric.simulation()),
       workers_done_(fabric.simulation()) {
-  if (obs::MetricsRegistry* reg = fabric_.metrics()) {
-    const std::string& n = node_.name();
-    m_requests_ = &reg->counter(n, "rpc", "requests");
-    m_bytes_in_ = &reg->counter(n, "rpc", "wire_bytes_in");
-    m_bytes_out_ = &reg->counter(n, "rpc", "wire_bytes_out");
-    m_queue_us_ =
-        &reg->histogram(n, "rpc", "queue_us", obs::latency_us_boundaries());
-    m_service_us_ =
-        &reg->histogram(n, "rpc", "service_us", obs::latency_us_boundaries());
-    m_service_digest_ = &reg->digest(n, "rpc", "service_us");
-  } else {
-    m_requests_ = &obs::MetricsRegistry::null_counter();
-    m_bytes_in_ = &obs::MetricsRegistry::null_counter();
-    m_bytes_out_ = &obs::MetricsRegistry::null_counter();
-    m_queue_us_ = &obs::MetricsRegistry::null_histogram();
-    m_service_us_ = &obs::MetricsRegistry::null_histogram();
-    m_service_digest_ = &obs::MetricsRegistry::null_digest();
-  }
+  obs::MetricsRegistry& reg = fabric_.metrics();
+  const std::string& n = node_.name();
+  m_requests_ = &reg.counter(n, "rpc", "requests");
+  m_bytes_in_ = &reg.counter(n, "rpc", "wire_bytes_in");
+  m_bytes_out_ = &reg.counter(n, "rpc", "wire_bytes_out");
+  m_queue_us_ =
+      &reg.histogram(n, "rpc", "queue_us", obs::latency_us_boundaries());
+  m_service_us_ =
+      &reg.histogram(n, "rpc", "service_us", obs::latency_us_boundaries());
+  m_service_digest_ = &reg.digest(n, "rpc", "service_us");
   fabric_.bind(address(), this);
 }
 
@@ -161,7 +153,6 @@ Task<void> RpcServer::worker() {
     }
 
     const sim::Duration queue_wait = picked_up - pending->enqueued;
-    queue_wait_total_ += queue_wait;
     m_queue_us_->observe(static_cast<double>(queue_wait) * 1e-3);
 
     XdrDecoder dec(pending->request.bytes);
@@ -179,10 +170,10 @@ Task<void> RpcServer::worker() {
 
     // Open a server span under the caller's wire span so nested RPCs issued
     // by the service stay in the same trace.
-    obs::Tracer* tracer = fabric_.tracer();
+    obs::Tracer& tracer = fabric_.tracer();
     obs::TraceContext server_span;
-    if (tracer != nullptr && tracer->enabled() && header.trace_id != 0) {
-      server_span = tracer->begin(obs::TraceContext{
+    if (header.trace_id != 0) {
+      server_span = tracer.begin(obs::TraceContext{
           header.trace_id, header.span_id,
           (header.flags & kFlagSampled) != 0});
     }
@@ -214,7 +205,6 @@ Task<void> RpcServer::worker() {
     enc.put_opaque_fixed(body_bytes);  // already 4-aligned: offsets preserved
     const uint64_t reply_wire_size = enc.wire_size() + body_virtual;
     WireBuffer reply{std::move(enc).take(), reply_wire_size};
-    ++requests_served_;
 
     const sim::Time done = fabric_.simulation().now();
     m_requests_->inc();
@@ -222,11 +212,10 @@ Task<void> RpcServer::worker() {
     m_bytes_out_->add(reply.wire_size);
     m_service_us_->observe(static_cast<double>(done - picked_up) * 1e-3);
     m_service_digest_->add(static_cast<double>(done - picked_up) * 1e-3);
-    if (obs::TenantLedger* tenants = fabric_.tenants()) {
-      tenants->account_rpc(header.tenant_id, pending->request.wire_size,
-                           reply.wire_size, queue_wait, done - picked_up,
-                           reply_header.status != ReplyStatus::kAccepted);
-    }
+    fabric_.tenants().account_rpc(
+        header.tenant_id, pending->request.wire_size, reply.wire_size,
+        queue_wait, done - picked_up,
+        reply_header.status != ReplyStatus::kAccepted);
     if (server_span.valid()) {
       obs::Span span{
           header.trace_id, server_span.span_id, header.span_id,
@@ -237,7 +226,7 @@ Task<void> RpcServer::worker() {
           node_.name(), picked_up, done, queue_wait,
           reply.wire_size, pending->request.wire_size};
       span.error = reply_header.status != ReplyStatus::kAccepted;
-      tracer->record(std::move(span));
+      tracer.record(std::move(span));
     }
 
     // Send the reply.  If the daemon or node died while the request was in
@@ -263,7 +252,7 @@ Task<void> RpcServer::worker() {
 Task<RpcClient::Reply> RpcClient::call(RpcAddress to, Program prog,
                                        uint32_t vers, uint32_t proc,
                                        XdrEncoder args, CallOptions opts) {
-  obs::Tracer* tracer = fabric_.tracer();
+  obs::Tracer& tracer = fabric_.tracer();
   sim::Simulation& sim = fabric_.simulation();
 
   // Encode the args once up front so every retry resends identical bytes.
@@ -293,16 +282,13 @@ Task<RpcClient::Reply> RpcClient::call(RpcAddress to, Program prog,
 
     const uint64_t parent_span_id =
         attempt == 0 ? opts.parent.span_id : anchor.span_id;
-    obs::TraceContext span;
-    if (tracer != nullptr && tracer->enabled()) {
-      span = tracer->begin(anchor);
-      if (!anchor.valid()) anchor = span;
-    }
+    const obs::TraceContext span = tracer.begin(anchor);
+    if (!anchor.valid()) anchor = span;
 
     XdrEncoder enc;
     CallHeader header{next_xid_++, static_cast<uint32_t>(prog), vers, proc,
                       span.trace_id, span.span_id,
-                      span.valid() && span.sampled ? kFlagSampled : 0u,
+                      span.sampled ? kFlagSampled : 0u,
                       principal_};
     // Proxied hops act for the original caller's tenant; calls this client
     // originates carry its own.  Independent of tracing: the parent context
@@ -320,18 +306,16 @@ Task<RpcClient::Reply> RpcClient::call(RpcAddress to, Program prog,
     const sim::Time deadline = opts.timeout > 0 ? sent + opts.timeout : 0;
     RpcFabric::RawResult raw =
         co_await fabric_.call(node_, to, std::move(request), deadline);
-    if (span.valid()) {
-      obs::Span client_span{
-          span.trace_id, span.span_id, parent_span_id,
-          obs::SpanKind::kClientCall,
-          util::sformat("%s/%u%s", program_component(prog), proc,
-                        raw.status == Status::kOk ? "" : " timeout"),
-          node_.name(), sent, sim.now(), 0, request_wire,
-          raw.status == Status::kOk ? raw.reply.wire_size : 0,
-          raw.send_wait};
-      client_span.error = raw.status != Status::kOk;
-      tracer->record(std::move(client_span));
-    }
+    obs::Span client_span{
+        span.trace_id, span.span_id, parent_span_id,
+        obs::SpanKind::kClientCall,
+        util::sformat("%s/%u%s", program_component(prog), proc,
+                      raw.status == Status::kOk ? "" : " timeout"),
+        node_.name(), sent, sim.now(), 0, request_wire,
+        raw.status == Status::kOk ? raw.reply.wire_size : 0,
+        raw.send_wait};
+    client_span.error = raw.status != Status::kOk;
+    tracer.record(std::move(client_span));
 
     if (raw.status == Status::kOk) {
       Reply reply;

@@ -107,26 +107,17 @@ class RpcFabric {
   sim::Simulation& simulation() noexcept { return net_.simulation(); }
   uint64_t per_message_overhead() const noexcept { return overhead_; }
 
-  /// Attaches metrics/tracing.  Must be called before servers or clients
-  /// that should be instrumented are constructed — they resolve their
-  /// metric handles once, at construction.  Either pointer may be null.
-  void set_observability(obs::MetricsRegistry* metrics, obs::Tracer* tracer) {
-    metrics_ = metrics;
-    tracer_ = tracer;
-  }
-  obs::MetricsRegistry* metrics() const noexcept { return metrics_; }
-  obs::Tracer* tracer() const noexcept { return tracer_; }
-
-  /// Attaches per-tenant accounting and the flight recorder (either may be
-  /// null).  Same contract as `set_observability`: call before the daemons
-  /// and clients that should feed them are constructed.
-  void set_accounting(obs::TenantLedger* tenants,
-                      obs::FlightRecorder* flight) {
-    tenants_ = tenants;
-    flight_ = flight;
-  }
-  obs::TenantLedger* tenants() const noexcept { return tenants_; }
-  obs::FlightRecorder* flight() const noexcept { return flight_; }
+  /// The run's instruments.  Every daemon and client built on this fabric
+  /// records into them: per-node metrics, RPC and store spans, per-tenant
+  /// resource rows, and the flight ring of recovery events.
+  obs::MetricsRegistry& metrics() noexcept { return metrics_; }
+  const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
+  obs::Tracer& tracer() noexcept { return tracer_; }
+  const obs::Tracer& tracer() const noexcept { return tracer_; }
+  obs::TenantLedger& tenants() noexcept { return tenants_; }
+  const obs::TenantLedger& tenants() const noexcept { return tenants_; }
+  obs::FlightRecorder& flight() noexcept { return flight_; }
+  const obs::FlightRecorder& flight() const noexcept { return flight_; }
 
   /// Raw transport result: `reply` is meaningful only when `status == kOk`.
   /// `send_wait` is the time the request spent queued behind the sender's
@@ -166,10 +157,10 @@ class RpcFabric {
   sim::Network& net_;
   uint64_t overhead_;
   std::map<RpcAddress, RpcServer*> servers_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
-  obs::TenantLedger* tenants_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::MetricsRegistry metrics_;
+  obs::Tracer tracer_;
+  obs::TenantLedger tenants_;
+  obs::FlightRecorder flight_;
   sim::Duration drop_timeout_ = sim::sec(2);
 };
 
@@ -189,12 +180,9 @@ class RpcServer {
 
   sim::Node& node() noexcept { return node_; }
   RpcAddress address() const noexcept { return RpcAddress{node_.id(), port_}; }
-  uint64_t requests_served() const noexcept { return requests_served_; }
 
   /// Requests sitting in the queue right now (excludes in-service ones).
   size_t queue_depth() const noexcept { return queue_.size(); }
-  /// Total time served requests spent queued before a worker picked them up.
-  sim::Duration queue_wait_total() const noexcept { return queue_wait_total_; }
 
  private:
   friend class RpcFabric;
@@ -216,10 +204,7 @@ class RpcServer {
   sim::Channel<Pending> queue_;
   sim::WaitGroup workers_done_;
   bool started_ = false;
-  uint64_t requests_served_ = 0;
-  sim::Duration queue_wait_total_ = 0;
-  // Per-node "rpc" component handles, resolved once at construction (null
-  // sinks when the fabric carries no registry).
+  // Per-node "rpc" component handles, resolved once at construction.
   obs::Counter* m_requests_;
   obs::Counter* m_bytes_in_;
   obs::Counter* m_bytes_out_;
@@ -264,10 +249,10 @@ class RpcClient {
   };
 
   /// Issues one call under `opts` (deadline, retry budget, backoff, trace
-  /// parent).  When the fabric carries a tracer, each attempt becomes a
-  /// client span: a new trace when `opts.parent` is invalid (an
-  /// application-level root), a child hop otherwise; retry attempts parent
-  /// under the first attempt's span, so a retried call reads as one trace.
+  /// parent).  Each attempt becomes a client span in the fabric's tracer: a
+  /// new trace when `opts.parent` is invalid (an application-level root), a
+  /// child hop otherwise; retry attempts parent under the first attempt's
+  /// span, so a retried call reads as one trace.
   sim::Task<Reply> call(RpcAddress to, Program prog, uint32_t vers,
                         uint32_t proc, XdrEncoder args, CallOptions opts = {});
 

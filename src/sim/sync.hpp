@@ -207,40 +207,6 @@ class Barrier {
   std::deque<std::coroutine_handle<>> waiters_;
 };
 
-/// Single-value rendezvous: exactly one `set`, at most one concurrent
-/// `take`.  Used for RPC reply delivery keyed by xid.
-template <typename T>
-class Oneshot {
- public:
-  explicit Oneshot(Simulation& sim) : sim_(sim) {}
-  Oneshot(const Oneshot&) = delete;
-  Oneshot& operator=(const Oneshot&) = delete;
-
-  void set(T value) {
-    assert(!value_.has_value());
-    value_.emplace(std::move(value));
-    if (waiter_) sim_.schedule(0, std::exchange(waiter_, {}));
-  }
-
-  auto take() {
-    struct Awaiter {
-      Oneshot& o;
-      bool await_ready() const noexcept { return o.value_.has_value(); }
-      void await_suspend(std::coroutine_handle<> h) {
-        assert(!o.waiter_);
-        o.waiter_ = h;
-      }
-      T await_resume() { return std::move(*o.value_); }
-    };
-    return Awaiter{*this};
-  }
-
- private:
-  Simulation& sim_;
-  std::optional<T> value_;
-  std::coroutine_handle<> waiter_;
-};
-
 /// FIFO message queue with optional capacity bound and close semantics.
 /// `recv()` yields std::nullopt once the channel is closed and drained.
 template <typename T>

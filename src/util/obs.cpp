@@ -208,26 +208,6 @@ std::string MetricsRegistry::to_json() const {
   return out;
 }
 
-Counter& MetricsRegistry::null_counter() {
-  static Counter sink;
-  return sink;
-}
-
-Gauge& MetricsRegistry::null_gauge() {
-  static Gauge sink;
-  return sink;
-}
-
-HistogramMetric& MetricsRegistry::null_histogram() {
-  static HistogramMetric sink{std::vector<double>{1.0}};
-  return sink;
-}
-
-util::PercentileDigest& MetricsRegistry::null_digest() {
-  static util::PercentileDigest sink;
-  return sink;
-}
-
 // ---------------------------------------------------------------------------
 // Tracer
 // ---------------------------------------------------------------------------
@@ -272,7 +252,6 @@ bool Tracer::sample_decision(uint64_t trace_id) const noexcept {
 }
 
 TraceContext Tracer::begin(TraceContext parent) {
-  if (!enabled_) return TraceContext{};
   TraceContext ctx;
   ctx.tenant = parent.tenant;
   if (parent.valid()) {
@@ -289,7 +268,7 @@ TraceContext Tracer::begin(TraceContext parent) {
 }
 
 void Tracer::record(Span span) {
-  if (!enabled_ || span.trace_id == 0) return;
+  if (span.trace_id == 0) return;
   ++spans_recorded_;
   if (span.kind == SpanKind::kClientCall) {
     ++rpc_hops_total_;

@@ -7,8 +7,9 @@
 //    (node, component, name), e.g. ("storage2", "pvfs.io", "bytes_written").
 //    Handles are resolved once at setup time and are stable for the life of
 //    the registry, so hot paths pay only a pointer-indirect increment.
-//    Components not wired to a registry use the static null sinks — updates
-//    stay branch-free and land in throwaway storage.
+//    Every RPC fabric owns one registry, one tracer, one tenant ledger and
+//    one flight recorder (`rpc::RpcFabric`), so instrumented code never
+//    checks whether an instrument is there.
 //
 //  - `Tracer` assigns trace/span ids to RPCs.  The client span id crosses
 //    the wire in `rpc::CallHeader`; servers open child spans, so a single
@@ -140,14 +141,6 @@ class MetricsRegistry {
   ///                         "histograms": {...}, "digests": {...}}}}
   std::string to_json() const;
 
-  /// Shared sinks for components constructed without a registry: always
-  /// valid, never read.  Updates are as cheap as the real thing, so
-  /// instrumented code needs no per-operation branches.
-  static Counter& null_counter();
-  static Gauge& null_gauge();
-  static HistogramMetric& null_histogram();
-  static util::PercentileDigest& null_digest();
-
  private:
   struct Component {
     std::map<std::string, Counter> counters;
@@ -243,8 +236,6 @@ struct Span {
 /// affects only which spans keep their detail.
 class Tracer {
  public:
-  bool enabled() const noexcept { return enabled_; }
-  void set_enabled(bool on) noexcept { enabled_ = on; }
   void set_span_capacity(size_t cap) noexcept { span_capacity_ = cap; }
   void set_hop_trace_capacity(size_t cap) noexcept {
     hop_trace_capacity_ = cap;
@@ -340,7 +331,6 @@ class Tracer {
   void recycle_vector(std::vector<Span> v);
   static std::string op_class(const std::string& name);
 
-  bool enabled_ = true;
   size_t span_capacity_ = 4096;
   size_t hop_trace_capacity_ = 65536;
   double sample_rate_ = 1.0;

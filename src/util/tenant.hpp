@@ -54,8 +54,8 @@ struct TenantStats {
   }
 };
 
-/// Deployment-wide tenant accounting (attach via RpcFabric, like the
-/// metrics registry: daemons pick it up at construction time).
+/// Run-wide tenant accounting.  The RPC fabric owns one
+/// (`rpc::RpcFabric::tenants()`), which every daemon on it charges.
 class TenantLedger {
  public:
   explicit TenantLedger(size_t capacity = 64) : topk_(capacity) {}

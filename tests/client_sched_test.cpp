@@ -126,7 +126,7 @@ struct Rig {
       .disk = std::nullopt,
       .cpu = sim::CpuParams{}});
   lfs::ObjectStore store{server_node};
-  nfs::LocalBackend backend{store};
+  nfs::LocalBackend backend{store, fabric.tracer(), fabric.tenants()};
   nfs::NfsServer server{fabric, server_node, rpc::kNfsPort, backend};
   std::unique_ptr<NfsClient> client;
 
@@ -273,7 +273,7 @@ TEST(ClientSched, StridedDirtiesDispatchAsOneVectoredWrite) {
 
 TEST(ClientSched, ListioCanBeDisabled) {
   ClientConfig cfg;
-  cfg.listio_enabled = false;
+  cfg.listio_max_regions = 1;
   Rig r(cfg);
   r.run([](Rig& r) -> Task<void> {
     co_await r.client->mount();
@@ -519,7 +519,7 @@ TEST(ClientSched, MidObjectShortReadsAreReissuedNotZeroFilled) {
       .disk = std::nullopt,
       .cpu = sim::CpuParams{}});
   lfs::ObjectStore store{server_node};
-  nfs::LocalBackend local{store};
+  nfs::LocalBackend local{store, fabric.tracer(), fabric.tenants()};
   ChokedReadBackend choked{local, 64 * 1024};  // short replies, no real EOF
   nfs::NfsServer server{fabric, server_node, rpc::kNfsPort, choked};
   server.start();

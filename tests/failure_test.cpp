@@ -38,7 +38,7 @@ struct Rig {
       .disk = std::nullopt,
       .cpu = sim::CpuParams{}});
   lfs::ObjectStore store{server_node};
-  nfs::LocalBackend inner{store};
+  nfs::LocalBackend inner{store, fabric.tracer(), fabric.tenants()};
   FaultyBackend backend{inner};
   nfs::NfsServer server{fabric, server_node, rpc::kNfsPort, backend};
   std::unique_ptr<nfs::NfsClient> client;

@@ -139,11 +139,9 @@ struct RpcRig {
   sim::Simulation sim;
   sim::Network net{sim};
   rpc::RpcFabric fabric{net};
-  obs::MetricsRegistry metrics;
-  obs::Tracer tracer;
+  obs::MetricsRegistry& metrics = fabric.metrics();
+  obs::Tracer& tracer = fabric.tracer();
   std::unique_ptr<sim::FaultInjector> injector;
-
-  RpcRig() { fabric.set_observability(&metrics, &tracer); }
 
   sim::Node& add_node(const std::string& name, bool with_disk = false) {
     return net.add_node(sim::NodeParams{
@@ -743,7 +741,7 @@ TEST(FaultRecovery, DiskFaultSurfacesAsIoErrorThenHeals) {
   auto& server_node = r.add_node("server", /*with_disk=*/true);
   auto& client_node = r.add_node("client");
   lfs::ObjectStore store(server_node);
-  nfs::LocalBackend backend(store);
+  nfs::LocalBackend backend(store, r.fabric.tracer(), r.fabric.tenants());
   nfs::NfsServer server(r.fabric, server_node, rpc::kNfsPort, backend);
   server.start();
   // Disk dead until t = 100 ms; commits in that window must fail cleanly.

@@ -35,7 +35,7 @@ struct Rig {
       .disk = std::nullopt,
       .cpu = sim::CpuParams{}});
   lfs::ObjectStore store{server_node};
-  LocalBackend backend{store};
+  LocalBackend backend{store, fabric.tracer(), fabric.tenants()};
   NfsServer server{fabric, server_node, rpc::kNfsPort, backend};
   std::unique_ptr<NfsClient> client;
 

@@ -44,7 +44,7 @@ struct SingleServer {
   sim::Node& server_node = net.add_node(storage_node("server"));
   sim::Node& cl_node = net.add_node(client_node("client"));
   lfs::ObjectStore store{server_node};
-  LocalBackend backend{store};
+  LocalBackend backend{store, fabric.tracer(), fabric.tenants()};
   NfsServer server{fabric, server_node, rpc::kNfsPort, backend};
   std::unique_ptr<NfsClient> client;
 
@@ -301,7 +301,7 @@ struct PnfsCluster {
 
   sim::Node& mds_node = net.add_node(storage_node("mds"));
   lfs::ObjectStore mds_store{mds_node};
-  LocalBackend mds_backend{mds_store};
+  LocalBackend mds_backend{mds_store, fabric.tracer(), fabric.tenants()};
 
   std::vector<std::unique_ptr<lfs::ObjectStore>> ds_stores;
   std::vector<std::unique_ptr<LocalBackend>> ds_backends;
@@ -316,8 +316,9 @@ struct PnfsCluster {
     for (int i = 0; i < kDataServers; ++i) {
       auto& node = net.add_node(storage_node("ds" + std::to_string(i)));
       ds_stores.push_back(std::make_unique<lfs::ObjectStore>(node));
-      ds_backends.push_back(std::make_unique<LocalBackend>(*ds_stores.back(),
-                                                           /*flat=*/true));
+      ds_backends.push_back(std::make_unique<LocalBackend>(
+          *ds_stores.back(), fabric.tracer(), fabric.tenants(),
+          /*flat=*/true));
       ServerConfig cfg;
       cfg.is_data_server = true;
       ds_servers.push_back(std::make_unique<NfsServer>(

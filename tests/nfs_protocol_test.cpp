@@ -33,7 +33,7 @@ struct Wire {
       .disk = std::nullopt,
       .cpu = sim::CpuParams{}});
   lfs::ObjectStore store{server_node};
-  LocalBackend backend{store};
+  LocalBackend backend{store, fabric.tracer(), fabric.tenants()};
   NfsServer server{fabric, server_node, rpc::kNfsPort, backend};
   rpc::RpcClient rpc{fabric, client_node, "raw@SIM"};
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -24,6 +25,14 @@ struct Fixture {
         .nic = sim::NicParams{.bytes_per_sec = bps, .latency = sim::us(10)},
         .disk = std::nullopt,
         .cpu = sim::CpuParams{.cores = 2}});
+  }
+
+  // The "rpc" instruments of the one server on `node`.
+  uint64_t requests(const std::string& node) const {
+    return fabric.metrics().find_counter(node, "rpc", "requests")->value();
+  }
+  const obs::HistogramMetric& queue_us(const std::string& node) const {
+    return *fabric.metrics().find_histogram(node, "rpc", "queue_us");
   }
 };
 
@@ -64,8 +73,48 @@ TEST(RpcFabric, CallRoundTrip) {
   f.sim.spawn(do_echo_call(client, server.address(), "hello", 7, done));
   f.sim.run();
   EXPECT_EQ(done, (std::vector<std::string>{"hello"}));
-  EXPECT_EQ(server.requests_served(), 1u);
+  EXPECT_EQ(f.requests("server"), 1u);
   EXPECT_GT(f.sim.now(), 0);  // network time elapsed
+}
+
+TEST(RpcFabric, BareFabricFeedsEveryInstrument) {
+  // A fabric built with no setup carries the run's instruments: one
+  // tenant-stamped call lands in its registry, tracer and tenant ledger.
+  Fixture f;
+  auto& client_node = f.add_node("client");
+  auto& server_node = f.add_node("server");
+  RpcServer server(f.fabric, server_node, kNfsPort, 2, echo_service());
+  server.start();
+
+  RpcClient client(f.fabric, client_node, "tester@SIM");
+  client.set_tenant(3);
+  std::vector<std::string> done;
+  f.sim.spawn(do_echo_call(client, server.address(), "hello", 7, done));
+  f.sim.run();
+  ASSERT_EQ(done.size(), 1u);
+
+  EXPECT_EQ(f.requests("server"), 1u);
+
+  const std::vector<obs::Span> spans = f.fabric.tracer().retained_spans();
+  ASSERT_EQ(spans.size(), 2u);
+  const auto client_span =
+      std::find_if(spans.begin(), spans.end(), [](const obs::Span& s) {
+        return s.kind == obs::SpanKind::kClientCall;
+      });
+  const auto server_span =
+      std::find_if(spans.begin(), spans.end(), [](const obs::Span& s) {
+        return s.kind == obs::SpanKind::kServerExec;
+      });
+  ASSERT_NE(client_span, spans.end());
+  ASSERT_NE(server_span, spans.end());
+  EXPECT_EQ(client_span->node, "client");
+  EXPECT_EQ(server_span->node, "server");
+  EXPECT_EQ(server_span->trace_id, client_span->trace_id);
+  EXPECT_EQ(server_span->parent_span_id, client_span->span_id);
+
+  const auto* row = f.fabric.tenants().topk().find(3);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->value.rpcs, 1u);
 }
 
 TEST(RpcFabric, ManyConcurrentCallsAllComplete) {
@@ -85,13 +134,13 @@ TEST(RpcFabric, ManyConcurrentCallsAllComplete) {
   }
   f.sim.run();
   EXPECT_EQ(done.size(), 50u);
-  EXPECT_EQ(server.requests_served(), 50u);
+  EXPECT_EQ(f.requests("server"), 50u);
   // Queue accounting is consistent after the burst: the queue drained, and
   // total residency is bounded by every request waiting the whole run.
   EXPECT_EQ(server.queue_depth(), 0u);
-  EXPECT_GE(server.queue_wait_total(), 0);
-  EXPECT_LE(server.queue_wait_total(),
-            static_cast<sim::Duration>(50) * f.sim.now());
+  EXPECT_GE(f.queue_us("server").sum(), 0.0);
+  EXPECT_LE(f.queue_us("server").sum(),
+            50.0 * static_cast<double>(f.sim.now()) * 1e-3);
 }
 
 TEST(RpcFabric, SequentialCallsAccrueNoQueueWait) {
@@ -117,7 +166,7 @@ TEST(RpcFabric, SequentialCallsAccrueNoQueueWait) {
   f.sim.run();
   EXPECT_EQ(done.size(), 5u);
   EXPECT_EQ(server.queue_depth(), 0u);
-  EXPECT_EQ(server.queue_wait_total(), 0);
+  EXPECT_EQ(f.queue_us("server").sum(), 0.0);
 }
 
 // A slow service that sleeps; used to verify worker-count concurrency.
@@ -153,9 +202,9 @@ TEST(RpcFabric, WorkerCountBoundsServiceConcurrency) {
   // 8 requests on 2 workers at 10ms each: later waves sat in the queue, so
   // cumulative queue wait is substantial — and the queue is empty again.
   EXPECT_EQ(server.queue_depth(), 0u);
-  EXPECT_GT(server.queue_wait_total(), sim::ms(40));
-  EXPECT_LE(server.queue_wait_total(),
-            static_cast<sim::Duration>(8) * f.sim.now());
+  EXPECT_GT(f.queue_us("server").sum(), 40e3);  // 40 ms
+  EXPECT_LE(f.queue_us("server").sum(),
+            8.0 * static_cast<double>(f.sim.now()) * 1e-3);
 }
 
 RpcService throwing_service() {

@@ -32,7 +32,7 @@ struct Rig {
       .disk = std::nullopt,
       .cpu = sim::CpuParams{}});
   lfs::ObjectStore store{server_node};
-  LocalBackend backend{store};
+  LocalBackend backend{store, fabric.tracer(), fabric.tenants()};
   std::unique_ptr<NfsServer> server;
 
   explicit Rig(const std::string& required_suffix) {

@@ -117,36 +117,6 @@ TEST(WaitGroup, EmptyGroupDoesNotBlock) {
   EXPECT_EQ(finished, 0);
 }
 
-Task<void> take_oneshot(Oneshot<int>& o, std::optional<int>& out) {
-  out = co_await o.take();
-}
-
-Task<void> set_oneshot_at(Simulation& sim, Oneshot<int>& o, Duration d, int v) {
-  co_await sim.delay(d);
-  o.set(v);
-}
-
-TEST(Oneshot, DeliversValueToWaiter) {
-  Simulation sim;
-  Oneshot<int> o(sim);
-  std::optional<int> got;
-  sim.spawn(take_oneshot(o, got));
-  sim.spawn(set_oneshot_at(sim, o, ms(4), 99));
-  sim.run();
-  EXPECT_EQ(got, 99);
-  EXPECT_EQ(sim.now(), ms(4));
-}
-
-TEST(Oneshot, SetBeforeTakeIsImmediate) {
-  Simulation sim;
-  Oneshot<int> o(sim);
-  o.set(7);
-  std::optional<int> got;
-  sim.spawn(take_oneshot(o, got));
-  sim.run();
-  EXPECT_EQ(got, 7);
-}
-
 Task<void> producer(Simulation& sim, Channel<int>& ch, int n) {
   for (int i = 0; i < n; ++i) {
     co_await ch.send(i);

@@ -60,7 +60,8 @@ TEST(LayoutTranslator, TranslatesPlacementsToDevicesAndFhs) {
   desc.placements = {{2, 500}, {0, 501}, {1, 502}};
   provider.layouts_[7] = desc;
 
-  LayoutTranslator tr(provider, make_devices(3));
+  obs::MetricsRegistry metrics;
+  LayoutTranslator tr(provider, make_devices(3), metrics, "mds");
   nfs::FileLayout layout;
   ASSERT_EQ(run_status(sim, tr.layout_get(nfs::FileHandle{7},
                                           nfs::LayoutIoMode::kReadWrite,
@@ -82,7 +83,8 @@ TEST(LayoutTranslator, TranslatesPlacementsToDevicesAndFhs) {
 TEST(LayoutTranslator, UnknownFileIsLayoutUnavailable) {
   sim::Simulation sim;
   FakeProvider provider;
-  LayoutTranslator tr(provider, make_devices(3));
+  obs::MetricsRegistry metrics;
+  LayoutTranslator tr(provider, make_devices(3), metrics, "mds");
   nfs::FileLayout layout;
   EXPECT_EQ(run_status(sim, tr.layout_get(nfs::FileHandle{99},
                                           nfs::LayoutIoMode::kRead, &layout)),
@@ -99,7 +101,8 @@ TEST(LayoutTranslator, DegenerateDescriptionsRejected) {
   bad_index.placements = {{9, 1}};  // storage index out of range
   provider.layouts_[2] = bad_index;
 
-  LayoutTranslator tr(provider, make_devices(3));
+  obs::MetricsRegistry metrics;
+  LayoutTranslator tr(provider, make_devices(3), metrics, "mds");
   nfs::FileLayout layout;
   EXPECT_EQ(run_status(sim, tr.layout_get(nfs::FileHandle{1},
                                           nfs::LayoutIoMode::kRead, &layout)),
@@ -112,7 +115,8 @@ TEST(LayoutTranslator, DegenerateDescriptionsRejected) {
 TEST(LayoutTranslator, CommitForwardsSizeChanges) {
   sim::Simulation sim;
   FakeProvider provider;
-  LayoutTranslator tr(provider, make_devices(2));
+  obs::MetricsRegistry metrics;
+  LayoutTranslator tr(provider, make_devices(2), metrics, "mds");
   uint64_t post_change = 99;
   EXPECT_EQ(run_status(sim, tr.layout_commit(nfs::FileHandle{5}, 12345, true,
                                              &post_change)),
@@ -129,7 +133,8 @@ TEST(LayoutTranslator, CommitForwardsSizeChanges) {
 TEST(LayoutTranslator, DeviceListMatchesConstruction) {
   sim::Simulation sim;
   FakeProvider provider;
-  LayoutTranslator tr(provider, make_devices(4));
+  obs::MetricsRegistry metrics;
+  LayoutTranslator tr(provider, make_devices(4), metrics, "mds");
   std::vector<nfs::DeviceEntry> devices;
   Status st = Status::kIo;
   sim.spawn([](LayoutTranslator& tr, std::vector<nfs::DeviceEntry>& devices,
@@ -144,7 +149,8 @@ TEST(LayoutTranslator, DeviceListMatchesConstruction) {
 
 TEST(SyntheticLayoutSource, ObliviousLayoutSharesTheMdsFilehandle) {
   sim::Simulation sim;
-  SyntheticLayoutSource src(make_devices(6), 2 << 20);
+  obs::MetricsRegistry metrics;
+  SyntheticLayoutSource src(make_devices(6), 2 << 20, metrics, "mds");
   nfs::FileLayout layout;
   ASSERT_EQ(run_status(sim, src.layout_get(nfs::FileHandle{42},
                                            nfs::LayoutIoMode::kReadWrite,

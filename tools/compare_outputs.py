@@ -15,9 +15,12 @@ per-node traffic table are compared too.  Then it
 runs each tree's full `bench_fig6_write` and `bench_fig7_read` and compares
 their stdout byte for byte and their BENCH files point by point (figure,
 architecture, clients, value, unit and host mark; other keys are ignored,
-so trees that write richer records still compare).  A refactor that claims
-"same outputs" (same wire bytes, same same-seed results, same figure
-numbers) should pass this unchanged.
+so trees that write richer records still compare).  Last, it byte-compares
+the stdout of every other deterministic bench: the four Fig 8 benches,
+`bench_sshbuild` and the layout, cache, aggregation and redundancy
+ablations at `--quick`, and `bench_ablation_listio` at `--smoke` and at
+`--sweep-regions`.  A refactor that claims "same outputs" (same wire bytes,
+same same-seed results, same figure numbers) should pass this unchanged.
 
 Both trees must already be built (`cmake --build <tree>/build`).  Every
 run happens in its own scratch directory under a temporary root, with the
@@ -25,6 +28,8 @@ same relative output paths, so stdout lines that echo those paths match.
 
 Usage:
   compare_outputs.py PARENT_TREE CHANGE_TREE [--no-bench] [--keep=DIR]
+
+`--no-bench` skips every bench and runs the `simulate` recipes only.
 
 Exit status: 0 when every recipe and bench matches, 1 otherwise (each
 differing recipe or bench is named), 2 on usage errors.
@@ -157,6 +162,20 @@ for _wl in ("ior-write", "ior-read"):
 BENCHES = [("bench_fig6_write", "BENCH_fig6_write.json"),
            ("bench_fig7_read", "BENCH_fig7_read.json")]
 
+# (name, bench executable, arguments): benches whose stdout alone is
+# compared.  Names key the scratch directories and the report.
+STDOUT_BENCHES = [
+    (f"{_exe}--quick", _exe, ["--quick"])
+    for _exe in ("bench_fig8a_atlas", "bench_fig8b_btio", "bench_fig8c_oltp",
+                 "bench_fig8d_postmark", "bench_sshbuild",
+                 "bench_ablation_layout", "bench_ablation_cache",
+                 "bench_ablation_aggregation", "bench_ablation_redundancy")
+]
+STDOUT_BENCHES += [
+    (f"bench_ablation_listio{_flag}", "bench_ablation_listio", [_flag])
+    for _flag in ("--smoke", "--sweep-regions")
+]
+
 
 def run_recipe(tree, args, workdir):
     """Runs one recipe in `workdir` (stdout kept as stdout.txt); returns
@@ -206,19 +225,27 @@ def bench_points(path):
     return [tuple(r.get(k) for k in BENCH_KEYS) for r in records]
 
 
-def compare_bench(trees, exe, out, root):
-    """Returns the list of outputs that differ for one bench."""
-    dirs = [os.path.join(root, side, exe) for side in ("parent", "change")]
-    stdouts = []
+def run_bench(trees, name, exe, args, root):
+    """Runs one bench per tree in matching scratch directories; returns the
+    directories and whether the two stdouts (exit codes too) are identical."""
+    dirs = [os.path.join(root, side, name) for side in ("parent", "change")]
+    outputs = []
     for tree, d in zip(trees, dirs):
         os.makedirs(d, exist_ok=True)
-        proc = subprocess.run([os.path.join(tree, "build", "bench", exe)],
+        proc = subprocess.run([os.path.join(tree, "build", "bench", exe),
+                               *args],
                               cwd=d, stdout=subprocess.PIPE,
                               stderr=subprocess.DEVNULL, check=False)
         with open(os.path.join(d, "stdout.txt"), "wb") as f:
             f.write(proc.stdout)
-        stdouts.append(proc.stdout)
-    diffs = [] if stdouts[0] == stdouts[1] else ["stdout"]
+        outputs.append((proc.returncode, proc.stdout))
+    return dirs, outputs[0] == outputs[1]
+
+
+def compare_bench(trees, exe, out, root):
+    """Returns the list of outputs that differ for one figure bench."""
+    dirs, same_stdout = run_bench(trees, exe, exe, [], root)
+    diffs = [] if same_stdout else ["stdout"]
     points = [bench_points(os.path.join(d, out)) for d in dirs]
     if points[0] is None or points[0] != points[1]:
         diffs.append(out)
@@ -262,6 +289,12 @@ def main(argv):
                   + (f"  ({', '.join(diffs)})" if diffs else ""))
             if diffs:
                 differing.append(exe)
+        for name, exe, bench_args in STDOUT_BENCHES:
+            _, same_stdout = run_bench(trees, name, exe, bench_args, root)
+            print(f"{'same' if same_stdout else 'DIFF'}  {name}"
+                  + ("" if same_stdout else "  (stdout)"))
+            if not same_stdout:
+                differing.append(name)
 
     print(f"\n{len(differing)} differing: {' '.join(differing) or '-'}")
     if keep:
