@@ -16,6 +16,7 @@
 #include "lfs/object_store.hpp"
 #include "nfs/client.hpp"
 #include "nfs/local_backend.hpp"
+#include "nfs/object_backend.hpp"
 #include "nfs/server.hpp"
 
 using namespace dpnfs;
@@ -69,7 +70,7 @@ struct Cluster {
   sim::Network net{sim};
   rpc::RpcFabric fabric{net};
   std::vector<std::unique_ptr<lfs::ObjectStore>> stores;
-  std::vector<std::unique_ptr<nfs::LocalBackend>> backends;
+  std::vector<std::unique_ptr<nfs::ObjectBackend>> backends;
   std::vector<std::unique_ptr<nfs::NfsServer>> servers;
   std::unique_ptr<lfs::ObjectStore> mds_store;
   std::unique_ptr<nfs::LocalBackend> mds_backend;
@@ -86,12 +87,10 @@ struct Cluster {
           .disk = sim::DiskParams{},
           .cpu = sim::CpuParams{}});
       stores.push_back(std::make_unique<lfs::ObjectStore>(node));
-      backends.push_back(std::make_unique<nfs::LocalBackend>(
-          *stores.back(), fabric.tracer(), fabric.tenants(), /*flat=*/true));
-      nfs::ServerConfig scfg;
-      scfg.is_data_server = true;
-      servers.push_back(std::make_unique<nfs::NfsServer>(
-          fabric, node, rpc::kNfsPort, *backends.back(), nullptr, scfg));
+      backends.push_back(std::make_unique<nfs::ObjectBackend>(
+          *stores.back(), fabric.tracer(), fabric.tenants()));
+      servers.push_back(nfs::NfsServer::data_server(fabric, node, rpc::kNfsPort,
+                                                    *backends.back()));
       servers.back()->start();
       devices.push_back(nfs::DeviceEntry{nfs::DeviceId{uint32_t(i)}, node.id(),
                                          rpc::kNfsPort});

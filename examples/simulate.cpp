@@ -11,8 +11,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/adapters.hpp"
@@ -49,6 +51,39 @@ bool flag(int argc, char** argv, const char* key) {
   return false;
 }
 
+// Every option `run_simulation` reads: the boolean flags, and the keys it
+// takes as `--key=value`.
+constexpr std::string_view kFlags[] = {"--help", "-h", "--verbose",
+                                       "--no-coalesce", "--breakdown"};
+constexpr std::string_view kValueKeys[] = {
+    "--arch", "--workload", "--clients", "--storage-nodes", "--bytes",
+    "--block", "--stripe", "--txns", "--latency-us", "--nic-mbps",
+    "--wb-window-per-ds", "--listio-max-regions", "--redundancy",
+    "--replicas", "--ec-k", "--ec-m", "--spares", "--fault-ds-crash",
+    "--fault-at-ms", "--fault-revive-ms", "--fault-ds-restart",
+    "--fault-ds-kill", "--rebuild-after-ms", "--chaos-seed",
+    "--chaos-restarts", "--trace-out", "--trace-spans",
+    "--trace-sample-rate", "--slo-ms", "--sample-ms", "--tenants",
+    "--metrics-out", "--flight-out"};
+
+/// The first argument that is neither a known flag nor `--key=value` with
+/// a known key (nullptr when there is none).  A removed or mistyped option
+/// must fail, not run the default configuration as if it took effect.
+const char* unknown_option(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::string_view key = arg.substr(0, arg.find('='));
+    const bool known =
+        key == arg
+            ? std::find(std::begin(kFlags), std::end(kFlags), arg) !=
+                  std::end(kFlags)
+            : std::find(std::begin(kValueKeys), std::end(kValueKeys), key) !=
+                  std::end(kValueKeys);
+    if (!known) return argv[i];
+  }
+  return nullptr;
+}
+
 core::Architecture parse_arch(const std::string& s) {
   if (s == "direct") return core::Architecture::kDirectPnfs;
   if (s == "pvfs") return core::Architecture::kNativePvfs;
@@ -63,6 +98,10 @@ core::Architecture parse_arch(const std::string& s) {
 }  // namespace
 
 int run_simulation(int argc, char** argv) {
+  if (const char* unknown = unknown_option(argc, argv)) {
+    std::fprintf(stderr, "unknown option '%s' (see --help)\n", unknown);
+    return 2;
+  }
   if (flag(argc, argv, "--help") || flag(argc, argv, "-h")) {
     std::printf(
         "usage: simulate [--arch=direct|pvfs|2tier|3tier|nfs]\n"
@@ -85,6 +124,7 @@ int run_simulation(int argc, char** argv) {
         "                [--breakdown] [--sample-ms=N]\n"
         "                [--tenants=N] [--metrics-out=FILE]\n"
         "                [--flight-out=FILE]\n"
+        "Any other argument is an error (exit 2).\n"
         "\n"
         "--wb-window-per-ds=N caps concurrent write-back WRITEs per data\n"
         "server (default 8); --no-coalesce disables merging adjacent dirty\n"

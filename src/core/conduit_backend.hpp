@@ -25,50 +25,16 @@ struct ConduitParams {
   double loopback_bytes_per_sec = 1.5e9;      ///< same-node copy bandwidth
 };
 
-class ConduitBackend final : public nfs::Backend {
+/// Wraps a data path only: the conduit carries data between the kernel
+/// and the storage daemon, and a data server exports no namespace.
+class ConduitBackend final : public nfs::DataBackend {
  public:
-  ConduitBackend(nfs::Backend& inner, sim::Node& node, ConduitParams params)
+  ConduitBackend(nfs::DataBackend& inner, sim::Node& node,
+                 ConduitParams params)
       : inner_(inner),
         node_(node),
         params_(params),
         pool_(node.simulation(), params.buffers) {}
-
-  nfs::FileHandle root_fh() const override { return inner_.root_fh(); }
-
-  // Metadata operations pass straight through (the conduit only carries
-  // data between the kernel and the storage daemon).
-  sim::Task<nfs::Status> getattr(nfs::FileHandle fh, nfs::Fattr* out) override {
-    return inner_.getattr(fh, out);
-  }
-  sim::Task<nfs::Status> set_size(nfs::FileHandle fh, uint64_t size) override {
-    return inner_.set_size(fh, size);
-  }
-  sim::Task<nfs::Status> lookup(nfs::FileHandle dir, const std::string& name,
-                                nfs::FileHandle* out) override {
-    return inner_.lookup(dir, name, out);
-  }
-  sim::Task<nfs::Status> mkdir(nfs::FileHandle dir, const std::string& name,
-                               nfs::FileHandle* out) override {
-    return inner_.mkdir(dir, name, out);
-  }
-  sim::Task<nfs::Status> open(nfs::FileHandle dir, const std::string& name,
-                              bool create, nfs::FileHandle* out,
-                              nfs::Fattr* attr) override {
-    return inner_.open(dir, name, create, out, attr);
-  }
-  sim::Task<nfs::Status> remove(nfs::FileHandle dir,
-                                const std::string& name) override {
-    return inner_.remove(dir, name);
-  }
-  sim::Task<nfs::Status> rename(nfs::FileHandle sd, const std::string& o,
-                                nfs::FileHandle dd,
-                                const std::string& n) override {
-    return inner_.rename(sd, o, dd, n);
-  }
-  sim::Task<nfs::Status> readdir(nfs::FileHandle dir,
-                                 std::vector<nfs::DirEntry>* out) override {
-    return inner_.readdir(dir, out);
-  }
 
   sim::Task<nfs::Status> read(nfs::FileHandle fh, uint64_t offset,
                               uint32_t count, rpc::Payload* out, bool* eof,
@@ -116,7 +82,7 @@ class ConduitBackend final : public nfs::Backend {
     }
   }
 
-  nfs::Backend& inner_;
+  nfs::DataBackend& inner_;
   sim::Node& node_;
   ConduitParams params_;
   sim::Semaphore pool_;

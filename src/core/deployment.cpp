@@ -188,12 +188,10 @@ pvfs::PvfsClientConfig Deployment::proxy_client_config() const {
   return cfg;
 }
 
-void Deployment::start_data_server(sim::Node& node, nfs::Backend& exported,
+void Deployment::start_data_server(sim::Node& node, nfs::DataBackend& exported,
                                    std::vector<nfs::DeviceEntry>& devices) {
-  nfs::ServerConfig scfg = config_.nfs_server;
-  scfg.is_data_server = true;
-  nfs_servers_.push_back(std::make_unique<nfs::NfsServer>(
-      fabric_, node, rpc::kNfsPort, exported, nullptr, scfg));
+  nfs_servers_.push_back(nfs::NfsServer::data_server(
+      fabric_, node, rpc::kNfsPort, exported, config_.nfs_server));
   start(*nfs_servers_.back());
   devices.push_back(nfs::DeviceEntry{
       nfs::DeviceId{static_cast<uint32_t>(devices.size())}, node.id(),
@@ -266,14 +264,14 @@ rpc::RpcAddress Deployment::build_direct_pnfs() {
   std::vector<nfs::DeviceEntry> devices;
   for (uint32_t i = 0; i < config_.storage_nodes; ++i) {
     sim::Node& node = stores_[i]->node();
-    auto local = std::make_unique<nfs::LocalBackend>(
-        *stores_[i], fabric_.tracer(), fabric_.tenants(), /*flat=*/true);
+    auto objects = std::make_unique<nfs::ObjectBackend>(
+        *stores_[i], fabric_.tracer(), fabric_.tenants());
     // Figure 5 fidelity: the prototype data server reaches its stripe
     // objects through the local PVFS2 client/daemon buffer pool.
     auto conduit =
-        std::make_unique<ConduitBackend>(*local, node, config_.conduit);
+        std::make_unique<ConduitBackend>(*objects, node, config_.conduit);
     start_data_server(node, *conduit, devices);
-    backends_.push_back(std::move(local));
+    backends_.push_back(std::move(objects));
     backends_.push_back(std::move(conduit));
   }
   // MDS co-located with the PVFS metadata manager on storage node 0.  Its

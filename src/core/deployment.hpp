@@ -29,7 +29,7 @@
 #include "core/translator.hpp"
 #include "lfs/object_store.hpp"
 #include "nfs/client.hpp"
-#include "nfs/local_backend.hpp"
+#include "nfs/object_backend.hpp"
 #include "nfs/server.hpp"
 #include "core/rebuild.hpp"
 #include "pvfs/meta_server.hpp"
@@ -274,7 +274,7 @@ class Deployment {
   /// Data servers that proxy the whole file system through PVFS clients.
   rpc::RpcAddress build_proxied_pnfs();
   /// A pNFS data server on `node` exporting `exported`; appends its device.
-  void start_data_server(sim::Node& node, nfs::Backend& exported,
+  void start_data_server(sim::Node& node, nfs::DataBackend& exported,
                          std::vector<nfs::DeviceEntry>& devices);
   /// The NFS server in front of the whole file system on `node`: a PVFS
   /// client and backend, the layout source for `devices` (none without
@@ -315,7 +315,7 @@ class Deployment {
   std::shared_ptr<FhRegistry> registry_;
   std::shared_ptr<const nfs::AggregationRegistry> aggregations_;
   std::vector<std::unique_ptr<pvfs::PvfsClient>> server_pvfs_clients_;
-  std::vector<std::unique_ptr<nfs::Backend>> backends_;
+  std::vector<std::unique_ptr<nfs::DataBackend>> backends_;
   std::unique_ptr<LayoutTranslator> translator_;
   std::unique_ptr<SyntheticLayoutSource> synthetic_layouts_;
   std::vector<std::unique_ptr<nfs::NfsServer>> nfs_servers_;

@@ -119,8 +119,7 @@ NfsClient::NfsClient(rpc::RpcFabric& fabric, sim::Node& node,
   m_degraded_commits_ = counter("client.redundancy", "degraded_commits");
   // Transport-level retries surface under this client's recovery component.
   rpc_.set_retry_counter(m_rpc_retries_);
-  tx_gate_ = std::make_unique<sim::Semaphore>(
-      fabric.simulation(), std::max<uint32_t>(1, config_.wb_wire_tokens));
+  tx_gate_ = std::make_unique<sim::Semaphore>(fabric.simulation(), 1);
 }
 
 NfsClient::~NfsClient() = default;
@@ -195,7 +194,7 @@ Task<std::shared_ptr<NfsClient::Session>> NfsClient::session_for(
       }
       CompoundBuilder b2;
       b2.add(OpCode::kCreateSession,
-             CreateSessionArgs{eid.client_id, config_.session_slots, cb_port});
+             CreateSessionArgs{eid.client_id, kSessionSlots, cb_port});
       auto raw2 = co_await rpc_.call(addr, rpc::Program::kNfs, kNfsVersion,
                                      kProcCompound, std::move(b2).finish(),
                                      call_options(addr));
@@ -671,7 +670,7 @@ bool NfsClient::file_has_delegation(const FilePtr& file) const {
 }
 
 Task<void> NfsClient::close(FilePtr file) {
-  if (config_.commit_on_close) co_await fsync(file);
+  co_await fsync(file);
 
   if (file->open_count > 0) --file->open_count;
   // Delegation-elided opens have no server stateid; send CLOSE only while
@@ -2177,17 +2176,12 @@ Task<void> NfsClient::flush_dirty_ec(FilePtr file) {
     for (const auto& div : todo) {
       enqueue_range(file, div.start, div.end, /*for_write=*/false);
     }
-    // Parity: one whole-su block per parity device.  Every shard of group
-    // g sits at device offset g*su.
-    for (uint64_t j = 0; j < geo->m; ++j) {
-      IoSlice ps;
-      aim_at_device(f, ps, static_cast<size_t>(geo->k + j));
-      ps.stateid = kDataServerStateid;
-      ps.target_offset = gs / gb * su;
-      ps.file_offset = gs;
-      ps.length = su;
-      ps.parity = true;
-      enqueue_writeback(file, ps, std::move(parity[static_cast<size_t>(j)]));
+    // Parity: the EC driver's parity segments for this group, one whole-su
+    // block per parity device in device order (route never diverts a
+    // write slice of a redundant layout).
+    size_t j = 0;
+    for (const IoSlice& ps : route(f, gs, gb, /*for_write=*/true)) {
+      if (ps.parity) enqueue_writeback(file, ps, std::move(parity[j++]));
     }
   }
 }

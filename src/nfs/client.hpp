@@ -45,10 +45,8 @@ struct ClientConfig {
   uint32_t readahead_window = 4;           ///< readahead depth, in rsize units
   bool data_cache = true;                  ///< ablation switch
   bool pnfs_enabled = true;                ///< issue LAYOUTGET at open
-  bool commit_on_close = true;
   /// Register a backchannel with the MDS so it can recall layouts.
   bool enable_backchannel = true;
-  uint32_t session_slots = 64;
   /// Max concurrent write-back WRITEs **per data server**.  Each DS gets its
   /// own bounded pipeline (semaphore + elevator queue), so a slow or failed
   /// DS never stalls flushes destined for healthy ones — the serialization
@@ -63,13 +61,6 @@ struct ClientConfig {
   /// Single-range requests always use the classic one-range ops.  Ablation
   /// switch.
   uint32_t listio_max_regions = 64;
-  /// Write-back dispatches admitted to the NIC concurrently.  The NIC
-  /// serializes frames, so launching every per-DS pipeline at once just
-  /// time-slices the link and bunches all completions (and the server disk
-  /// work behind them) at the tail.  A dispatch holds a transmit token only
-  /// for its payload's estimated serialization time — never for the full
-  /// RPC — so a slow or dead DS cannot pin the gate.
-  uint32_t wb_wire_tokens = 1;
   /// Once a data server holds this many completed-but-uncommitted write-back
   /// bytes for a file, the scheduler issues an asynchronous COMMIT to it so
   /// the server starts its disk flush under the remaining transmissions
@@ -506,7 +497,12 @@ class NfsClient {
   /// across co_await while new DSes appear).
   std::map<rpc::RpcAddress, DsSched> scheds_;
 
-  /// NIC admission gate for write-back dispatch (see wb_wire_tokens).
+  /// NIC admission gate for write-back dispatch: one dispatch at a time.
+  /// The NIC serializes frames, so launching every per-DS pipeline at once
+  /// just time-slices the link and bunches all completions (and the server
+  /// disk work behind them) at the tail.  A dispatch holds the token only
+  /// for its payload's estimated serialization time — never for the full
+  /// RPC — so a slow or dead DS cannot pin the gate.
   std::unique_ptr<sim::Semaphore> tx_gate_;
 
   std::map<std::string, FileHandle> dentry_cache_;

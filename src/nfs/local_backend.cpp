@@ -2,18 +2,14 @@
 
 namespace dpnfs::nfs {
 
-using rpc::Payload;
 using sim::Task;
 
 LocalBackend::LocalBackend(lfs::ObjectStore& store, obs::Tracer& tracer,
-                           obs::TenantLedger& tenants, bool flat_object_mode)
-    : store_(store), tracer_(tracer), tenants_(tenants),
-      flat_(flat_object_mode) {
-  if (!flat_) {
-    Inode root;
-    root.type = FileType::kDirectory;
-    inodes_.emplace(kRootIno, std::move(root));
-  }
+                           obs::TenantLedger& tenants)
+    : store_(store), objects_(store, tracer, tenants) {
+  Inode root;
+  root.type = FileType::kDirectory;
+  inodes_.emplace(kRootIno, std::move(root));
 }
 
 LocalBackend::Inode* LocalBackend::find(uint64_t ino) {
@@ -37,11 +33,6 @@ void LocalBackend::bump(Inode& inode) {
 }
 
 Task<Status> LocalBackend::getattr(FileHandle fh, Fattr* out) {
-  if (flat_) {
-    if (!store_.exists(fh.id)) co_return Status::kBadHandle;
-    *out = Fattr{FileType::kRegular, fh.id, store_.size(fh.id), 0, 0};
-    co_return Status::kOk;
-  }
   Inode* node = find(fh.id);
   if (node == nullptr) co_return Status::kStale;
   out->type = node->type;
@@ -54,11 +45,6 @@ Task<Status> LocalBackend::getattr(FileHandle fh, Fattr* out) {
 }
 
 Task<Status> LocalBackend::set_size(FileHandle fh, uint64_t size) {
-  if (flat_) {
-    if (!store_.exists(fh.id)) store_.create(fh.id);
-    store_.truncate(fh.id, size);
-    co_return Status::kOk;
-  }
   Inode* node = find(fh.id);
   if (node == nullptr) co_return Status::kStale;
   if (node->type != FileType::kRegular) co_return Status::kIsDir;
@@ -69,7 +55,6 @@ Task<Status> LocalBackend::set_size(FileHandle fh, uint64_t size) {
 
 Task<Status> LocalBackend::lookup(FileHandle dir, const std::string& name,
                                   FileHandle* out) {
-  if (flat_) co_return Status::kNotSupp;
   Inode* parent = find(dir.id);
   if (parent == nullptr) co_return Status::kStale;
   if (parent->type != FileType::kDirectory) co_return Status::kNotDir;
@@ -81,7 +66,6 @@ Task<Status> LocalBackend::lookup(FileHandle dir, const std::string& name,
 
 Task<Status> LocalBackend::mkdir(FileHandle dir, const std::string& name,
                                  FileHandle* out) {
-  if (flat_) co_return Status::kNotSupp;
   Inode* parent = find(dir.id);
   if (parent == nullptr) co_return Status::kStale;
   if (parent->type != FileType::kDirectory) co_return Status::kNotDir;
@@ -95,10 +79,6 @@ Task<Status> LocalBackend::mkdir(FileHandle dir, const std::string& name,
 
 Task<Status> LocalBackend::open(FileHandle dir, const std::string& name,
                                 bool create, FileHandle* out, Fattr* attr) {
-  if (flat_) {
-    // Flat mode: "open" of a numeric name maps straight to an object id.
-    co_return Status::kNotSupp;
-  }
   Inode* parent = find(dir.id);
   if (parent == nullptr) co_return Status::kStale;
   if (parent->type != FileType::kDirectory) co_return Status::kNotDir;
@@ -118,7 +98,6 @@ Task<Status> LocalBackend::open(FileHandle dir, const std::string& name,
 }
 
 Task<Status> LocalBackend::remove(FileHandle dir, const std::string& name) {
-  if (flat_) co_return Status::kNotSupp;
   Inode* parent = find(dir.id);
   if (parent == nullptr) co_return Status::kStale;
   if (parent->type != FileType::kDirectory) co_return Status::kNotDir;
@@ -141,7 +120,6 @@ Task<Status> LocalBackend::rename(FileHandle src_dir,
                                   const std::string& old_name,
                                   FileHandle dst_dir,
                                   const std::string& new_name) {
-  if (flat_) co_return Status::kNotSupp;
   Inode* src = find(src_dir.id);
   Inode* dst = find(dst_dir.id);
   if (src == nullptr || dst == nullptr) co_return Status::kStale;
@@ -160,7 +138,6 @@ Task<Status> LocalBackend::rename(FileHandle src_dir,
 }
 
 Task<Status> LocalBackend::readdir(FileHandle dir, std::vector<DirEntry>* out) {
-  if (flat_) co_return Status::kNotSupp;
   Inode* parent = find(dir.id);
   if (parent == nullptr) co_return Status::kStale;
   if (parent->type != FileType::kDirectory) co_return Status::kNotDir;
@@ -175,48 +152,32 @@ Task<Status> LocalBackend::readdir(FileHandle dir, std::vector<DirEntry>* out) {
 Task<Status> LocalBackend::read(FileHandle fh, uint64_t offset, uint32_t count,
                                 rpc::Payload* out, bool* eof,
                                 obs::TraceContext trace) {
-  if (!flat_) {
-    Inode* node = find(fh.id);
-    if (node == nullptr) co_return Status::kStale;
-    if (node->type != FileType::kRegular) co_return Status::kIsDir;
-  } else if (!store_.exists(fh.id)) {
-    // Reading a never-written stripe object: empty (all data elsewhere).
-    *out = Payload{};
-    *eof = true;
-    co_return Status::kOk;
-  }
-  const lfs::StoreOpClock clock(store_);
-  *out = co_await store_.read(fh.id, offset, count);
-  *eof = (offset + out->size() >= store_.size(fh.id));
-  clock.finish(tracer_, tenants_, trace, "read", out->size(), 0);
-  co_return Status::kOk;
+  Inode* node = find(fh.id);
+  if (node == nullptr) co_return Status::kStale;
+  if (node->type != FileType::kRegular) co_return Status::kIsDir;
+  // A regular file's object exists from creation to removal, so the object
+  // backend never takes its never-written shortcut here.
+  co_return co_await objects_.read(fh, offset, count, out, eof, trace);
 }
 
 Task<Status> LocalBackend::write(FileHandle fh, uint64_t offset,
                                  const rpc::Payload& data, StableHow stable,
                                  StableHow* committed, uint64_t* post_change,
                                  obs::TraceContext trace) {
-  *post_change = 0;
-  if (!flat_) {
-    Inode* node = find(fh.id);
-    if (node == nullptr) co_return Status::kStale;
-    if (node->type != FileType::kRegular) co_return Status::kIsDir;
-    bump(*node);
-    *post_change = node->change;
-  }
-  const lfs::StoreOpClock clock(store_);
-  co_await store_.write(fh.id, offset, data, stable != StableHow::kUnstable);
-  *committed = stable;
-  clock.finish(tracer_, tenants_, trace, "write", 0, data.size());
-  co_return Status::kOk;
+  Inode* node = find(fh.id);
+  if (node == nullptr) co_return Status::kStale;
+  if (node->type != FileType::kRegular) co_return Status::kIsDir;
+  bump(*node);
+  const uint64_t change = node->change;
+  const Status st = co_await objects_.write(fh, offset, data, stable,
+                                            committed, post_change, trace);
+  *post_change = change;
+  co_return st;
 }
 
 Task<Status> LocalBackend::commit(FileHandle fh, obs::TraceContext trace) {
-  if (!flat_ && find(fh.id) == nullptr) co_return Status::kStale;
-  const lfs::StoreOpClock clock(store_);
-  co_await store_.commit(fh.id);
-  clock.finish(tracer_, tenants_, trace, "commit", 0, 0);
-  co_return Status::kOk;
+  if (find(fh.id) == nullptr) co_return Status::kStale;
+  co_return co_await objects_.commit(fh, trace);
 }
 
 }  // namespace dpnfs::nfs

@@ -1,10 +1,10 @@
 // Local-filesystem backend: a directory tree + regular files whose data
-// lives in the node's lfs::ObjectStore.
+// lives in the node's lfs::ObjectStore, one object per regular file (the
+// object id is the inode number).
 //
-// Used by standalone NFSv4 servers in unit tests and — in "flat object"
-// mode — by Direct-pNFS data servers, where filehandles name stripe objects
-// directly (handed out by the layout translator) and no directory tree is
-// involved.
+// Used by standalone NFSv4 servers and the metadata servers of unit-test
+// rigs.  It checks inodes and hands the data path to an ObjectBackend over
+// the same store.
 #pragma once
 
 #include <cstdint>
@@ -13,20 +13,15 @@
 #include <unordered_map>
 
 #include "lfs/object_store.hpp"
-#include "nfs/backend.hpp"
-#include "util/tenant.hpp"
+#include "nfs/object_backend.hpp"
 
 namespace dpnfs::nfs {
 
 class LocalBackend final : public Backend {
  public:
-  /// `flat_object_mode`: any filehandle is treated as an object id in the
-  /// store (created on first write).  Namespace ops return NOTSUPP.  Store
-  /// accesses show up in `tracer` as internal spans under the serving
-  /// request (the Direct-pNFS "no extra hop" evidence), and their disk time
-  /// is charged in `tenants` to the tenant that request carries.
+  /// `tracer` and `tenants` record store accesses (see ObjectBackend).
   LocalBackend(lfs::ObjectStore& store, obs::Tracer& tracer,
-               obs::TenantLedger& tenants, bool flat_object_mode = false);
+               obs::TenantLedger& tenants);
 
   FileHandle root_fh() const override { return FileHandle{kRootIno}; }
 
@@ -57,12 +52,7 @@ class LocalBackend final : public Backend {
   /// volatile memory of the daemon that just died.  The namespace (inode
   /// table) is kept — it stands in for the on-disk file system metadata a
   /// real server journals.
-  void on_server_restart() override {
-    store_.drop_dirty();
-    store_.drop_caches();
-  }
-
-  lfs::ObjectStore& store() noexcept { return store_; }
+  void on_server_restart() override { objects_.on_server_restart(); }
 
  private:
   static constexpr uint64_t kRootIno = 1;
@@ -79,9 +69,7 @@ class LocalBackend final : public Backend {
   void bump(Inode& inode);
 
   lfs::ObjectStore& store_;
-  obs::Tracer& tracer_;
-  obs::TenantLedger& tenants_;
-  bool flat_;
+  ObjectBackend objects_;
   std::unordered_map<uint64_t, Inode> inodes_;
   uint64_t next_ino_ = 2;
 };

@@ -41,6 +41,10 @@ struct ExchangeIdRes {
   }
 };
 
+/// Slots a client asks for in CREATE_SESSION, and the most a server
+/// grants (it caps the request: the count is wire input).
+inline constexpr uint32_t kSessionSlots = 64;
+
 struct CreateSessionArgs {
   uint64_t client_id = 0;
   uint32_t requested_slots = 0;

@@ -13,10 +13,25 @@ using sim::Task;
 NfsServer::NfsServer(rpc::RpcFabric& fabric, sim::Node& node, uint16_t port,
                      Backend& backend, LayoutSource* layouts,
                      ServerConfig config)
+    : NfsServer(fabric, node, port, backend, &backend, layouts, config) {}
+
+std::unique_ptr<NfsServer> NfsServer::data_server(rpc::RpcFabric& fabric,
+                                                  sim::Node& node,
+                                                  uint16_t port,
+                                                  DataBackend& data,
+                                                  ServerConfig config) {
+  return std::unique_ptr<NfsServer>(
+      new NfsServer(fabric, node, port, data, nullptr, nullptr, config));
+}
+
+NfsServer::NfsServer(rpc::RpcFabric& fabric, sim::Node& node, uint16_t port,
+                     DataBackend& data, Backend* names, LayoutSource* layouts,
+                     ServerConfig config)
     : fabric_(fabric),
       node_(node),
       port_(port),
-      backend_(backend),
+      data_(data),
+      names_(names),
       layouts_(layouts),
       config_(config) {
   obs::MetricsRegistry& reg = fabric.metrics();
@@ -65,7 +80,7 @@ void NfsServer::check_restart(sim::Time now) {
   delegation_holders_.clear();
   write_opens_.clear();
   open_states_.clear();
-  backend_.on_server_restart();
+  data_.on_server_restart();
   if (config_.grace_period > 0) grace_until_ = now + config_.grace_period;
   ++restarts_;
   util::logf(util::LogLevel::kInfo, "nfs.server", now,
@@ -220,8 +235,9 @@ Task<Status> NfsServer::dispatch(OpCode op, const rpc::CallContext& ctx,
                                  FileHandle& current_fh, FileHandle& saved_fh,
                                  uint64_t& session) {
   // Data servers accept only the pNFS data path: READ/WRITE/COMMIT plus
-  // session management and filehandle ops (paper §3.4).
-  if (config_.is_data_server) {
+  // session management and filehandle ops (paper §3.4).  Past this filter,
+  // every op that reaches the namespace runs on a server that has one.
+  if (names_ == nullptr) {
     switch (op) {
       case OpCode::kSequence:
       case OpCode::kExchangeId:
@@ -255,7 +271,7 @@ Task<Status> NfsServer::dispatch(OpCode op, const rpc::CallContext& ctx,
             ctx.client_node, static_cast<uint16_t>(a.callback_port)};
       }
       const uint32_t slots =
-          std::min(a.requested_slots, config_.max_session_slots);
+          std::min(a.requested_slots, kSessionSlots);
       CreateSessionRes{SessionId{sid}, slots}.encode(results);
       co_return Status::kOk;
     }
@@ -273,7 +289,7 @@ Task<Status> NfsServer::dispatch(OpCode op, const rpc::CallContext& ctx,
       co_return Status::kOk;
     }
     case OpCode::kPutRootFh:
-      current_fh = backend_.root_fh();
+      current_fh = names_->root_fh();
       co_return Status::kOk;
     case OpCode::kPutFh:
       current_fh = PutFhArgs::decode(args).fh;
@@ -291,14 +307,14 @@ Task<Status> NfsServer::dispatch(OpCode op, const rpc::CallContext& ctx,
       const auto a = LookupArgs::decode(args);
       co_await charge_cpu(0);
       FileHandle out;
-      const Status st = co_await backend_.lookup(current_fh, a.name, &out);
+      const Status st = co_await names_->lookup(current_fh, a.name, &out);
       if (st == Status::kOk) current_fh = out;
       co_return st;
     }
     case OpCode::kGetattr: {
       co_await charge_cpu(0);
       Fattr attr;
-      const Status st = co_await backend_.getattr(current_fh, &attr);
+      const Status st = co_await names_->getattr(current_fh, &attr);
       if (st == Status::kOk) GetattrRes{attr}.encode(results);
       co_return st;
     }
@@ -310,13 +326,13 @@ Task<Status> NfsServer::dispatch(OpCode op, const rpc::CallContext& ctx,
       // recall them before mutating (RFC 5661 §12.5.5 flavour).
       co_await recall_layouts(current_fh);
       co_await recall_delegations(current_fh, 0);
-      co_return co_await backend_.set_size(current_fh, a.size);
+      co_return co_await names_->set_size(current_fh, a.size);
     }
     case OpCode::kCreate: {
       const auto a = CreateArgs::decode(args);
       co_await charge_cpu(0);
       FileHandle out;
-      const Status st = co_await backend_.mkdir(current_fh, a.name, &out);
+      const Status st = co_await names_->mkdir(current_fh, a.name, &out);
       if (st == Status::kOk) current_fh = out;
       co_return st;
     }
@@ -326,7 +342,7 @@ Task<Status> NfsServer::dispatch(OpCode op, const rpc::CallContext& ctx,
       FileHandle out;
       Fattr attr;
       const Status st =
-          co_await backend_.open(current_fh, a.name, a.create, &out, &attr);
+          co_await names_->open(current_fh, a.name, a.create, &out, &attr);
       if (st != Status::kOk) co_return st;
       current_fh = out;
       const bool for_write = a.share != ShareAccess::kRead;
@@ -367,22 +383,22 @@ Task<Status> NfsServer::dispatch(OpCode op, const rpc::CallContext& ctx,
       co_await charge_cpu(0);
       // Recall any layouts and delegations for the victim before unlinking.
       FileHandle victim;
-      if (co_await backend_.lookup(current_fh, a.name, &victim) == Status::kOk) {
+      if (co_await names_->lookup(current_fh, a.name, &victim) == Status::kOk) {
         co_await recall_layouts(victim);
         co_await recall_delegations(victim, 0);
       }
-      co_return co_await backend_.remove(current_fh, a.name);
+      co_return co_await names_->remove(current_fh, a.name);
     }
     case OpCode::kRename: {
       const auto a = RenameArgs::decode(args);
       co_await charge_cpu(0);
-      co_return co_await backend_.rename(saved_fh, a.old_name, current_fh,
-                                         a.new_name);
+      co_return co_await names_->rename(saved_fh, a.old_name, current_fh,
+                                        a.new_name);
     }
     case OpCode::kReaddir: {
       co_await charge_cpu(0);
       std::vector<DirEntry> entries;
-      const Status st = co_await backend_.readdir(current_fh, &entries);
+      const Status st = co_await names_->readdir(current_fh, &entries);
       if (st == Status::kOk) ReaddirRes{std::move(entries)}.encode(results);
       co_return st;
     }
@@ -396,8 +412,8 @@ Task<Status> NfsServer::dispatch(OpCode op, const rpc::CallContext& ctx,
       for (const IoRegion& r : a.regions) {
         rpc::Payload data;
         bool eof = false;
-        const Status st = co_await backend_.read(current_fh, r.offset, r.count,
-                                                 &data, &eof, ctx.trace);
+        const Status st = co_await data_.read(current_fh, r.offset, r.count,
+                                              &data, &eof, ctx.trace);
         if (st != Status::kOk) co_return st;
         res.eof = res.eof || eof;
         res.lengths.push_back(static_cast<uint32_t>(data.size()));
@@ -418,7 +434,7 @@ Task<Status> NfsServer::dispatch(OpCode op, const rpc::CallContext& ctx,
                                           : WriteArgs::decode_vectored(args);
       if (!stateid_ok(a.stateid)) co_return Status::kBadStateid;
       // MDS-path writes conflict with other clients' read delegations.
-      if (!config_.is_data_server && delegation_holders_.contains(current_fh.id)) {
+      if (names_ != nullptr && delegation_holders_.contains(current_fh.id)) {
         co_await recall_delegations(current_fh, session);
       }
       co_await charge_cpu(a.data.size());
@@ -430,9 +446,9 @@ Task<Status> NfsServer::dispatch(OpCode op, const rpc::CallContext& ctx,
       for (const IoRegion& r : a.regions) {
         StableHow c = a.stable;
         uint64_t pc = 0;
-        const Status st = co_await backend_.write(current_fh, r.offset,
-                                                  a.data.slice(pos, r.count),
-                                                  a.stable, &c, &pc, ctx.trace);
+        const Status st = co_await data_.write(current_fh, r.offset,
+                                               a.data.slice(pos, r.count),
+                                               a.stable, &c, &pc, ctx.trace);
         if (st != Status::kOk) co_return st;
         pos += r.count;
         committed = std::min(committed, c);
@@ -447,7 +463,7 @@ Task<Status> NfsServer::dispatch(OpCode op, const rpc::CallContext& ctx,
     case OpCode::kCommit: {
       (void)CommitArgs::decode(args);
       co_await charge_cpu(0);
-      const Status st = co_await backend_.commit(current_fh, ctx.trace);
+      const Status st = co_await data_.commit(current_fh, ctx.trace);
       // The verifier is re-read *after* the commit ran: if this instance
       // died mid-commit and revived, the reply must carry the incarnation
       // that actually holds (or lost) the data.

@@ -1,7 +1,8 @@
 // NFSv4.1 server: COMPOUND dispatch, sessions, open state, pNFS ops.
 //
-// One NfsServer exports one Backend through the RPC fabric.  The paper's
-// configuration — eight nfsd threads — maps to eight RPC worker coroutines.
+// One NfsServer exports one Backend through the RPC fabric, or — on a pNFS
+// data server — only a DataBackend.  The paper's configuration — eight nfsd
+// threads — maps to eight RPC worker coroutines.
 // CPU cost is charged per operation plus per byte moved, which is what makes
 // warm-cache reads CPU-bound at scale (paper §6.2.1).
 #pragma once
@@ -19,10 +20,8 @@ namespace dpnfs::nfs {
 
 struct ServerConfig {
   uint32_t worker_threads = 8;        ///< nfsd threads (paper: 8)
-  uint32_t max_session_slots = 64;    ///< CREATE_SESSION grant
   sim::Duration cpu_per_op = sim::us(12);
   double cpu_ns_per_byte = 2.2;       ///< copy/checksum cost on data ops
-  bool is_data_server = false;        ///< restricts ops to the pNFS data path
   /// RPCSEC_GSS stand-in: when non-empty, calls whose principal does not
   /// end with this suffix are rejected with NFS4ERR_PERM.  Because both
   /// the control path (MDS) and the data path (data servers) speak NFSv4,
@@ -41,9 +40,18 @@ struct ServerConfig {
 
 class NfsServer {
  public:
+  /// A metadata or standalone server: exports `backend`'s namespace and
+  /// data path, and pNFS layouts when `layouts` is given.
   NfsServer(rpc::RpcFabric& fabric, sim::Node& node, uint16_t port,
             Backend& backend, LayoutSource* layouts = nullptr,
             ServerConfig config = {});
+
+  /// A pNFS data server: exports only `data`, with no namespace and no
+  /// layouts, so it answers every op off the data path with NOTSUPP.
+  static std::unique_ptr<NfsServer> data_server(rpc::RpcFabric& fabric,
+                                                sim::Node& node, uint16_t port,
+                                                DataBackend& data,
+                                                ServerConfig config = {});
 
   void start() { rpc_server_->start(); }
   void stop() { rpc_server_->stop(); }
@@ -61,6 +69,10 @@ class NfsServer {
   uint64_t restarts_observed() const noexcept { return restarts_; }
 
  private:
+  NfsServer(rpc::RpcFabric& fabric, sim::Node& node, uint16_t port,
+            DataBackend& data, Backend* names, LayoutSource* layouts,
+            ServerConfig config);
+
   /// Executes one COMPOUND (the RpcService body).
   sim::Task<void> serve(const rpc::CallContext& ctx, rpc::XdrDecoder& args,
                         rpc::XdrEncoder& results);
@@ -105,7 +117,8 @@ class NfsServer {
   rpc::RpcFabric& fabric_;
   sim::Node& node_;
   uint16_t port_;
-  Backend& backend_;
+  DataBackend& data_;
+  Backend* names_;  ///< null on a data server
   LayoutSource* layouts_;
   ServerConfig config_;
   std::unique_ptr<rpc::RpcServer> rpc_server_;

@@ -51,10 +51,6 @@ PvfsMetaServer::Entry* PvfsMetaServer::walk(const std::string& path) {
   return cur;
 }
 
-const PvfsMetaServer::Entry* PvfsMetaServer::walk(const std::string& path) const {
-  return const_cast<PvfsMetaServer*>(this)->walk(path);
-}
-
 PvfsStatus PvfsMetaServer::walk_parent(const std::string& path, Entry** parent,
                                        std::string* leaf) {
   if (path.empty() || path[0] != '/' || path == "/") return PvfsStatus::kInval;
@@ -110,17 +106,6 @@ void PvfsMetaServer::for_each_file(
   for (auto& [handle, meta] : by_handle_) {
     fn(*const_cast<FileMeta*>(meta));
   }
-}
-
-const FileMeta* PvfsMetaServer::describe(const std::string& path) const {
-  const Entry* e = walk(path);
-  if (e == nullptr || e->is_dir) return nullptr;
-  return &e->meta;
-}
-
-const FileMeta* PvfsMetaServer::describe(uint64_t handle) const {
-  const auto it = by_handle_.find(handle);
-  return it == by_handle_.end() ? nullptr : it->second;
 }
 
 Task<void> PvfsMetaServer::serve(const rpc::CallContext& ctx, XdrDecoder& args,

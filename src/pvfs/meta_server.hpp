@@ -4,10 +4,10 @@
 // dfiles round-robin across the storage nodes (rotating the starting node
 // per file, as PVFS2 does, so single-dfile-heavy workloads spread).
 //
-// The layout translator (src/core) reads distribution metadata through
-// `describe()` — the co-located, in-process access path of the Direct-pNFS
-// prototype (Figure 5: the pNFS server and PVFS2 metadata server share a
-// node).
+// The Direct-pNFS layout translator (src/core) reads distribution metadata
+// through core::PvfsBackend::describe: the distribution that the MDS's
+// embedded PVFS client fetched from this server over RPC when it opened the
+// file (Figure 5: the pNFS server and PVFS2 metadata server share a node).
 #pragma once
 
 #include <algorithm>
@@ -50,13 +50,6 @@ class PvfsMetaServer {
   /// Requests queued at the RPC daemon right now (utilization sampler).
   size_t rpc_queue_depth() const { return rpc_server_->queue_depth(); }
 
-  /// In-process metadata access for co-located services (layout translator).
-  /// Returns nullptr when the path is not a regular file.
-  const FileMeta* describe(const std::string& path) const;
-
-  /// In-process lookup by file handle (for translator use from NFS fhs).
-  const FileMeta* describe(uint64_t handle) const;
-
   uint32_t storage_count() const noexcept { return storage_count_; }
   uint64_t stripe_unit() const noexcept { return config_.stripe_unit; }
   const MetaServerConfig& config() const noexcept { return config_; }
@@ -86,7 +79,6 @@ class PvfsMetaServer {
 
   /// Resolves a path to an entry; nullptr if missing.
   Entry* walk(const std::string& path);
-  const Entry* walk(const std::string& path) const;
   /// Resolves the parent directory of `path` and the leaf name.
   PvfsStatus walk_parent(const std::string& path, Entry** parent,
                          std::string* leaf);

@@ -21,14 +21,6 @@ const char* program_component(Program prog) {
   return "rpc";
 }
 
-const char* status_name(Status s) {
-  switch (s) {
-    case Status::kOk: return "OK";
-    case Status::kTimedOut: return "TIMED_OUT";
-  }
-  return "?";
-}
-
 namespace {
 
 // Wakes the caller at `deadline` whether or not the reply ever arrives

@@ -48,8 +48,6 @@ enum class Status : uint8_t {
   kTimedOut = 1,
 };
 
-const char* status_name(Status s);
-
 /// Per-call policy: deadline, retry budget, backoff, trace parentage.
 /// The default (`timeout == 0`, no retries) behaves exactly like the old
 /// bare call: wait forever for the reply.  Even then, a message the fault

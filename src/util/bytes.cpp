@@ -17,8 +17,4 @@ std::string format_bytes(uint64_t bytes) {
   return sformat("%llu B", static_cast<unsigned long long>(bytes));
 }
 
-std::string format_mbps(double bytes_per_second) {
-  return sformat("%.1f MB/s", bytes_per_second / 1e6);
-}
-
 }  // namespace dpnfs::util

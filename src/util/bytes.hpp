@@ -13,9 +13,6 @@ inline constexpr uint64_t kGiB = 1024 * kMiB;
 /// "2.0 MiB", "512 B", "1.5 GiB" — human-readable size for logs and tables.
 std::string format_bytes(uint64_t bytes);
 
-/// Formats a throughput in MB/s (decimal megabytes, as the paper reports).
-std::string format_mbps(double bytes_per_second);
-
 /// Decimal megabytes per second from bytes and seconds (paper convention).
 constexpr double to_mbps(double bytes, double seconds) {
   return seconds > 0.0 ? bytes / 1e6 / seconds : 0.0;

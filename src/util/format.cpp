@@ -1,5 +1,6 @@
 #include "util/format.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -22,6 +23,12 @@ std::string sformat(const char* fmt, ...) {
   std::string out = vsformat(fmt, args);
   va_end(args);
   return out;
+}
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "0";
+  if (v == std::floor(v) && std::abs(v) < 1e15) return sformat("%.0f", v);
+  return sformat("%.17g", v);
 }
 
 }  // namespace dpnfs::util

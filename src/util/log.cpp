@@ -45,8 +45,6 @@ constexpr const char* level_name(LogLevel level) {
 
 LogLevel log_threshold() noexcept { return threshold_ref(); }
 
-void set_log_threshold(LogLevel level) noexcept { threshold_ref() = level; }
-
 LogSink set_log_sink(LogSink sink) {
   LogSink previous = std::move(sink_ref());
   sink_ref() = std::move(sink);

@@ -25,11 +25,9 @@ enum class LogLevel : int {
 };
 
 /// Returns the global log threshold.  Messages below it are discarded.
+/// The DPNFS_LOG environment variable ("trace", "debug", "info", "warn",
+/// "error", "off") sets it; the default is "warn".
 LogLevel log_threshold() noexcept;
-
-/// Sets the global log threshold.  The DPNFS_LOG environment variable
-/// ("trace", "debug", "info", "warn", "error", "off") sets the initial value.
-void set_log_threshold(LogLevel level) noexcept;
 
 /// Optional tap for WARN+ lines (the flight recorder routes them into its
 /// event ring).  The sink receives every kWarn/kError line *regardless of

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 #include "util/format.hpp"
 
 namespace dpnfs::obs {
 
+using util::json_number;
 using util::sformat;
 
 // ---------------------------------------------------------------------------
@@ -15,10 +17,22 @@ using util::sformat;
 // ---------------------------------------------------------------------------
 
 HistogramMetric::HistogramMetric(std::vector<double> boundaries)
-    : boundaries_(boundaries), hist_(std::move(boundaries)) {}
+    : boundaries_(std::move(boundaries)) {
+  if (boundaries_.empty()) {
+    throw std::invalid_argument("empty histogram boundaries");
+  }
+  for (size_t i = 1; i < boundaries_.size(); ++i) {
+    if (boundaries_[i] <= boundaries_[i - 1]) {
+      throw std::invalid_argument("histogram boundaries must increase");
+    }
+  }
+  counts_.assign(boundaries_.size() + 1, 0.0);
+}
 
 void HistogramMetric::observe(double value) {
-  hist_.add(value);
+  const auto it =
+      std::upper_bound(boundaries_.begin(), boundaries_.end(), value);
+  counts_[static_cast<size_t>(it - boundaries_.begin())] += 1.0;
   if (count_ == 0) {
     min_ = value;
     max_ = value;
@@ -118,15 +132,6 @@ const util::PercentileDigest* MetricsRegistry::find_digest(
 
 namespace {
 
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  // %.17g round-trips doubles; trim the noise for integers.
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    return sformat("%.0f", v);
-  }
-  return sformat("%.17g", v);
-}
-
 std::string histogram_json(const HistogramMetric& h) {
   std::string out = sformat(
       "{\"count\": %llu, \"sum\": %s, \"mean\": %s, \"min\": %s, \"max\": %s, "
@@ -139,9 +144,9 @@ std::string histogram_json(const HistogramMetric& h) {
     out += json_number(h.boundaries()[i]);
   }
   out += "], \"counts\": [";
-  for (size_t i = 0; i < h.buckets().bucket_count(); ++i) {
+  for (size_t i = 0; i < h.bucket_count(); ++i) {
     if (i > 0) out += ", ";
-    out += json_number(h.buckets().bucket_weight(i));
+    out += json_number(h.bucket_weight(i));
   }
   out += "]}";
   return out;

@@ -62,9 +62,12 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Bucketed distribution plus exact count/sum/min/max.
+/// Fixed-boundary bucketed distribution plus exact count/sum/min/max.
 class HistogramMetric {
  public:
+  /// `boundaries` must be strictly increasing (std::invalid_argument
+  /// otherwise); bucket i covers [boundaries[i-1], boundaries[i]) with an
+  /// implicit final overflow bucket.
   explicit HistogramMetric(std::vector<double> boundaries);
 
   void observe(double value);
@@ -76,12 +79,13 @@ class HistogramMetric {
   }
   double min() const noexcept { return min_; }  ///< 0 when empty
   double max() const noexcept { return max_; }  ///< 0 when empty
-  const util::Histogram& buckets() const noexcept { return hist_; }
+  size_t bucket_count() const noexcept { return counts_.size(); }
+  double bucket_weight(size_t i) const { return counts_.at(i); }
   const std::vector<double>& boundaries() const noexcept { return boundaries_; }
 
  private:
   std::vector<double> boundaries_;
-  util::Histogram hist_;
+  std::vector<double> counts_;
   uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

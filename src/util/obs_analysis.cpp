@@ -9,15 +9,10 @@
 
 namespace dpnfs::obs {
 
+using util::json_number;
 using util::sformat;
 
 namespace {
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  if (v == std::floor(v) && std::abs(v) < 1e15) return sformat("%.0f", v);
-  return sformat("%.17g", v);
-}
 
 // ---------------------------------------------------------------------------
 // Interval arithmetic

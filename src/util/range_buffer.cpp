@@ -87,9 +87,4 @@ void RangeBuffer::drop(uint64_t start, uint64_t end) {
   virtual_ranges_.subtract(start, end);
 }
 
-void RangeBuffer::clear() {
-  extents_.clear();
-  virtual_ranges_.clear();
-}
-
 }  // namespace dpnfs::util

@@ -32,8 +32,6 @@ class RangeBuffer {
   /// ranges read as zeros again.
   void drop(uint64_t start, uint64_t end);
 
-  void clear();
-
   /// True if [start, end) overlaps a virtual (unmaterialized) range.
   bool tainted(uint64_t start, uint64_t end) const {
     return virtual_ranges_.intersects(start, end);

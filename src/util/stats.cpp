@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include <limits>
 #include <stdexcept>
 
 namespace dpnfs::util {
@@ -117,57 +116,14 @@ double PercentileDigest::quantile(double q) const noexcept {
 }
 
 std::string PercentileDigest::to_json() const {
-  const auto num = [](double v) {
-    if (!std::isfinite(v)) return std::string("0");
-    if (v == std::floor(v) && std::abs(v) < 1e15) return sformat("%.0f", v);
-    return sformat("%.17g", v);
-  };
   return sformat(
       "{\"count\": %llu, \"sum\": %s, \"mean\": %s, \"min\": %s, "
       "\"max\": %s, \"p50\": %s, \"p90\": %s, \"p99\": %s, \"p999\": %s}",
-      static_cast<unsigned long long>(count_), num(sum_).c_str(),
-      num(mean()).c_str(), num(min()).c_str(), num(max()).c_str(),
-      num(p50()).c_str(), num(p90()).c_str(), num(p99()).c_str(),
-      num(p999()).c_str());
-}
-
-Histogram::Histogram(std::vector<double> boundaries)
-    : boundaries_(std::move(boundaries)) {
-  if (boundaries_.empty()) throw std::invalid_argument("empty histogram boundaries");
-  for (size_t i = 1; i < boundaries_.size(); ++i) {
-    if (boundaries_[i] <= boundaries_[i - 1]) {
-      throw std::invalid_argument("histogram boundaries must increase");
-    }
-  }
-  counts_.assign(boundaries_.size() + 1, 0.0);
-}
-
-void Histogram::add(double value, double weight) {
-  const auto it = std::upper_bound(boundaries_.begin(), boundaries_.end(), value);
-  counts_[static_cast<size_t>(it - boundaries_.begin())] += weight;
-  total_ += weight;
-}
-
-double Histogram::cumulative_fraction_below(double value) const {
-  if (total_ <= 0.0) return 0.0;
-  const auto it = std::upper_bound(boundaries_.begin(), boundaries_.end(), value);
-  const auto limit = static_cast<size_t>(it - boundaries_.begin());
-  double acc = 0.0;
-  for (size_t i = 0; i <= limit && i < counts_.size(); ++i) acc += counts_[i];
-  return acc / total_;
-}
-
-std::string Histogram::to_string() const {
-  std::string out;
-  double lo = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const double hi = (i < boundaries_.size())
-                          ? boundaries_[i]
-                          : std::numeric_limits<double>::infinity();
-    out += sformat("[%12.3g, %12.3g): %g\n", lo, hi, counts_[i]);
-    lo = hi;
-  }
-  return out;
+      static_cast<unsigned long long>(count_), json_number(sum_).c_str(),
+      json_number(mean()).c_str(), json_number(min()).c_str(),
+      json_number(max()).c_str(), json_number(p50()).c_str(),
+      json_number(p90()).c_str(), json_number(p99()).c_str(),
+      json_number(p999()).c_str());
 }
 
 }  // namespace dpnfs::util

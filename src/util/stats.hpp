@@ -93,27 +93,4 @@ class PercentileDigest {
   double max_ = 0.0;
 };
 
-/// Fixed-boundary histogram for request-size / latency distributions.
-class Histogram {
- public:
-  /// `boundaries` must be strictly increasing; bucket i covers
-  /// [boundaries[i-1], boundaries[i]) with an implicit final overflow bucket.
-  explicit Histogram(std::vector<double> boundaries);
-
-  void add(double value, double weight = 1.0);
-
-  size_t bucket_count() const noexcept { return counts_.size(); }
-  double bucket_weight(size_t i) const { return counts_.at(i); }
-  double total_weight() const noexcept { return total_; }
-  /// Fraction of total weight at or below `value`'s bucket upper bound.
-  double cumulative_fraction_below(double value) const;
-
-  std::string to_string() const;
-
- private:
-  std::vector<double> boundaries_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
-};
-
 }  // namespace dpnfs::util

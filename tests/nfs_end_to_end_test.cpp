@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "lfs/object_store.hpp"
 #include "nfs/client.hpp"
+#include "nfs/compound_reply.hpp"
 #include "nfs/local_backend.hpp"
+#include "nfs/object_backend.hpp"
 #include "nfs/server.hpp"
 #include "rpc/fabric.hpp"
 #include "sim/network.hpp"
@@ -85,7 +89,7 @@ TEST(NfsEndToEnd, CreateWriteReadBack) {
     EXPECT_EQ(p, Payload::from_string("hello nfs"));
     co_await f.client->close(file);
   }(f));
-  // The server must actually hold the data after close (commit_on_close).
+  // The server must actually hold the data after close (close commits).
   EXPECT_EQ(f.store.dirty_bytes(), 0u);
 }
 
@@ -243,6 +247,36 @@ TEST(NfsEndToEnd, FsyncMakesDataStable) {
   EXPECT_GT(fsync_done, write_done);
 }
 
+TEST(NfsEndToEnd, RestartDropsUnflushedDataButKeepsNamespace) {
+  // What NfsServer hands its backend on a detected restart: the store's
+  // write-behind data was the dead daemon's memory, while the inode table
+  // stands in for the journaled on-disk file system and survives.
+  SingleServer f;
+  bool checked = false;
+  f.run([](SingleServer& f, bool& checked) -> Task<void> {
+    FileHandle fh;
+    Fattr attr;
+    EXPECT_EQ(co_await f.backend.open(f.backend.root_fh(), "f", true, &fh,
+                                      &attr),
+              Status::kOk);
+    StableHow committed = StableHow::kFileSync;
+    uint64_t change = 0;
+    EXPECT_EQ(co_await f.backend.write(fh, 0, Payload::virtual_bytes(4096),
+                                       StableHow::kUnstable, &committed,
+                                       &change),
+              Status::kOk);
+    EXPECT_EQ(f.store.dirty_bytes(), 4096u);
+    f.backend.on_server_restart();
+    EXPECT_EQ(f.store.dirty_bytes(), 0u);
+    FileHandle found;
+    EXPECT_EQ(co_await f.backend.lookup(f.backend.root_fh(), "f", &found),
+              Status::kOk);
+    EXPECT_EQ(found, fh);
+    checked = true;
+  }(f, checked));
+  EXPECT_TRUE(checked);
+}
+
 // ---------------------------------------------------------------------------
 // pNFS with striped data servers
 // ---------------------------------------------------------------------------
@@ -304,7 +338,7 @@ struct PnfsCluster {
   LocalBackend mds_backend{mds_store, fabric.tracer(), fabric.tenants()};
 
   std::vector<std::unique_ptr<lfs::ObjectStore>> ds_stores;
-  std::vector<std::unique_ptr<LocalBackend>> ds_backends;
+  std::vector<std::unique_ptr<ObjectBackend>> ds_backends;
   std::vector<std::unique_ptr<NfsServer>> ds_servers;
   std::unique_ptr<TestLayoutSource> layouts;
   std::unique_ptr<NfsServer> mds;
@@ -316,13 +350,10 @@ struct PnfsCluster {
     for (int i = 0; i < kDataServers; ++i) {
       auto& node = net.add_node(storage_node("ds" + std::to_string(i)));
       ds_stores.push_back(std::make_unique<lfs::ObjectStore>(node));
-      ds_backends.push_back(std::make_unique<LocalBackend>(
-          *ds_stores.back(), fabric.tracer(), fabric.tenants(),
-          /*flat=*/true));
-      ServerConfig cfg;
-      cfg.is_data_server = true;
-      ds_servers.push_back(std::make_unique<NfsServer>(
-          fabric, node, rpc::kNfsPort, *ds_backends.back(), nullptr, cfg));
+      ds_backends.push_back(std::make_unique<ObjectBackend>(
+          *ds_stores.back(), fabric.tracer(), fabric.tenants()));
+      ds_servers.push_back(NfsServer::data_server(fabric, node, rpc::kNfsPort,
+                                                  *ds_backends.back()));
       ds_servers.back()->start();
       devices.push_back(DeviceEntry{DeviceId{static_cast<uint32_t>(i)},
                                     node.id(), rpc::kNfsPort});
@@ -415,19 +446,44 @@ TEST(PnfsEndToEnd, LayoutCommitPropagatesSize) {
 
 TEST(PnfsEndToEnd, DataServerRejectsNamespaceOps) {
   PnfsCluster f;
-  bool notsupp = false;
-  f.run([](PnfsCluster& f, bool& notsupp) -> Task<void> {
-    // Point a client directly at a data server and try a LOOKUP.
-    NfsClient rogue(f.fabric, f.cl_node, f.ds_servers[0]->address(),
-                    "tester@SIM", ClientConfig{.pnfs_enabled = false});
-    try {
-      co_await rogue.mount();  // PUTROOTFH is fine
-      (void)co_await rogue.stat("/x");
-    } catch (const NfsError& e) {
-      notsupp = (e.status() == Status::kNotSupp || e.status() == Status::kNoEnt);
+  // One namespace op per raw COMPOUND, straight to a data server: PUTROOTFH
+  // alone, every other op after a PUTFH (which a data server accepts).
+  using Cases = std::vector<std::pair<OpCode, CompoundBuilder>>;
+  Cases cases;
+  cases.emplace_back(OpCode::kPutRootFh, CompoundBuilder{});
+  cases.back().second.add(OpCode::kPutRootFh);
+  const auto after_putfh = [&cases](OpCode op, const auto&... args) {
+    CompoundBuilder b;
+    b.add(OpCode::kPutFh, PutFhArgs{FileHandle{1}});
+    b.add(op, args...);
+    cases.emplace_back(op, std::move(b));
+  };
+  after_putfh(OpCode::kLookup, LookupArgs{"x"});
+  after_putfh(OpCode::kGetattr);
+  after_putfh(OpCode::kSetattr, SetattrArgs{true, 0});
+  after_putfh(OpCode::kOpen, OpenArgs{"x", true});
+  after_putfh(OpCode::kCreate, CreateArgs{"d"});
+  after_putfh(OpCode::kRemove, RemoveArgs{"x"});
+  after_putfh(OpCode::kRename, RenameArgs{"x", "y"});
+  after_putfh(OpCode::kReaddir);
+  after_putfh(OpCode::kLayoutGet, LayoutGetArgs{});
+
+  size_t checked = 0;
+  f.run([](PnfsCluster& f, Cases& cases, size_t& checked) -> Task<void> {
+    rpc::RpcClient raw(f.fabric, f.cl_node, "tester@SIM");
+    for (auto& [op, b] : cases) {
+      CompoundReply r(co_await raw.call(f.ds_servers[0]->address(),
+                                        rpc::Program::kNfs, 4,
+                                        kProcCompound, std::move(b).finish()));
+      if (op != OpCode::kPutRootFh) {
+        EXPECT_EQ(r.try_next(OpCode::kPutFh), Status::kOk);
+      }
+      EXPECT_EQ(r.try_next(op), Status::kNotSupp) << opcode_name(op);
+      EXPECT_FALSE(r.has_more());
+      ++checked;
     }
-  }(f, notsupp));
-  EXPECT_TRUE(notsupp);
+  }(f, cases, checked));
+  EXPECT_EQ(checked, 10u);
 }
 
 }  // namespace

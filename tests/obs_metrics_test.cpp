@@ -65,11 +65,11 @@ TEST(HistogramMetric, BucketingAndSummaryStats) {
   EXPECT_DOUBLE_EQ(h.min(), 5.0);
   EXPECT_DOUBLE_EQ(h.max(), 5000.0);
   // Buckets: [<10), [10,100), [100,1000), overflow.
-  ASSERT_EQ(h.buckets().bucket_count(), 4u);
-  EXPECT_DOUBLE_EQ(h.buckets().bucket_weight(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.buckets().bucket_weight(1), 1.0);
-  EXPECT_DOUBLE_EQ(h.buckets().bucket_weight(2), 1.0);
-  EXPECT_DOUBLE_EQ(h.buckets().bucket_weight(3), 1.0);
+  ASSERT_EQ(h.bucket_count(), 4u);
+  EXPECT_DOUBLE_EQ(h.bucket_weight(0), 2.0);
+  EXPECT_DOUBLE_EQ(h.bucket_weight(1), 1.0);
+  EXPECT_DOUBLE_EQ(h.bucket_weight(2), 1.0);
+  EXPECT_DOUBLE_EQ(h.bucket_weight(3), 1.0);
 }
 
 TEST(MetricsRegistry, JsonExportCarriesValues) {

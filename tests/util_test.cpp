@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "util/bytes.hpp"
+#include "util/obs.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -24,15 +25,6 @@ TEST(Summary, EmptyPercentileIsZero) {
   EXPECT_DOUBLE_EQ(s.percentile(0), 0.0);
   EXPECT_DOUBLE_EQ(s.percentile(50), 0.0);
   EXPECT_DOUBLE_EQ(s.percentile(100), 0.0);
-}
-
-TEST(Histogram, EmptyCumulativeFractionIsZero) {
-  // Pin the empty-case guard: zero total weight never divides by zero.
-  Histogram h({1.0, 2.0, 4.0});
-  EXPECT_DOUBLE_EQ(h.total_weight(), 0.0);
-  EXPECT_DOUBLE_EQ(h.cumulative_fraction_below(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(h.cumulative_fraction_below(3.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.cumulative_fraction_below(100.0), 0.0);
 }
 
 TEST(Summary, MeanMinMax) {
@@ -76,31 +68,24 @@ TEST(Summary, PercentileInterleavedWithAdd) {
   EXPECT_DOUBLE_EQ(s.percentile(100), 9.0);
 }
 
+// The histogram is obs::HistogramMetric, the metrics registry's instrument.
 TEST(Histogram, BucketsAndOverflow) {
-  Histogram h({10.0, 100.0});
-  h.add(5.0);
-  h.add(10.0);   // [10, 100)
-  h.add(50.0);
-  h.add(1000.0);  // overflow
+  obs::HistogramMetric h({10.0, 100.0});
+  h.observe(5.0);
+  h.observe(10.0);  // on a boundary: [10, 100)
+  h.observe(50.0);
+  h.observe(1000.0);  // overflow
   EXPECT_EQ(h.bucket_count(), 3u);
   EXPECT_DOUBLE_EQ(h.bucket_weight(0), 1.0);
   EXPECT_DOUBLE_EQ(h.bucket_weight(1), 2.0);
   EXPECT_DOUBLE_EQ(h.bucket_weight(2), 1.0);
-  EXPECT_DOUBLE_EQ(h.total_weight(), 4.0);
-}
-
-TEST(Histogram, CumulativeFraction) {
-  Histogram h({10.0, 100.0, 1000.0});
-  for (int i = 0; i < 95; ++i) h.add(5.0);
-  for (int i = 0; i < 5; ++i) h.add(500.0);
-  EXPECT_NEAR(h.cumulative_fraction_below(5.0), 0.95, 1e-9);
-  EXPECT_NEAR(h.cumulative_fraction_below(500.0), 1.0, 1e-9);
+  EXPECT_EQ(h.count(), 4u);
 }
 
 TEST(Histogram, RejectsBadBoundaries) {
-  EXPECT_THROW(Histogram({}), std::invalid_argument);
-  EXPECT_THROW(Histogram({2.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(Histogram({1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(obs::HistogramMetric({}), std::invalid_argument);
+  EXPECT_THROW(obs::HistogramMetric({2.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(obs::HistogramMetric({1.0, 1.0}), std::invalid_argument);
 }
 
 TEST(Bytes, Literals) {
