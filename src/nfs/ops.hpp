@@ -14,6 +14,7 @@
 
 #include "nfs/layout.hpp"
 #include "nfs/types.hpp"
+#include "rpc/message.hpp"
 #include "rpc/payload.hpp"
 #include "rpc/xdr.hpp"
 
@@ -617,6 +618,9 @@ struct LayoutReturnArgs {
 inline constexpr uint32_t kProcCompound = 1;
 inline constexpr uint32_t kProcCbLayoutRecall = 2;
 inline constexpr uint32_t kProcCbRecallDelegation = 3;
+static_assert(kProcCbRecallDelegation ==
+                  rpc::program_proc_count(rpc::Program::kNfs),
+              "RPC span names cover procs 1..program_proc_count");
 
 struct CbLayoutRecallArgs {
   FileHandle fh;

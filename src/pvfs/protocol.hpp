@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "rpc/message.hpp"
 #include "rpc/xdr.hpp"
 
 namespace dpnfs::pvfs {
@@ -52,6 +53,9 @@ enum class MetaProc : uint32_t {
   kRename = 5,
   kReaddir = 6,
 };
+static_assert(static_cast<uint32_t>(MetaProc::kReaddir) ==
+                  rpc::program_proc_count(rpc::Program::kPvfsMeta),
+              "RPC span names cover procs 1..program_proc_count");
 
 /// Storage-daemon (I/O) procedures.  Every reply starts with a PvfsStatus.
 ///
@@ -79,6 +83,9 @@ enum class IoProc : uint32_t {
   kReadv = 8,
   kWritev = 9,
 };
+static_assert(static_cast<uint32_t>(IoProc::kWritev) ==
+                  rpc::program_proc_count(rpc::Program::kPvfsIo),
+              "RPC span names cover procs 1..program_proc_count");
 
 /// One (offset, length) region of an object.
 struct IoRegion {

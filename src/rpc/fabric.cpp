@@ -11,8 +11,15 @@ namespace dpnfs::rpc {
 
 using sim::Task;
 
-const char* program_component(Program prog) {
-  switch (prog) {
+namespace {
+
+constexpr Program kProgramSlots[] = {Program::kNfs, Program::kPvfsMeta,
+                                     Program::kPvfsIo, Program::kPvfsMgmt};
+
+/// Observability component name for a program's RPC spans ("nfs",
+/// "pvfs.io", ...).
+const char* program_component(uint32_t prog) {
+  switch (static_cast<Program>(prog)) {
     case Program::kNfs: return "nfs";
     case Program::kPvfsMeta: return "pvfs.meta";
     case Program::kPvfsIo: return "pvfs.io";
@@ -20,8 +27,6 @@ const char* program_component(Program prog) {
   }
   return "rpc";
 }
-
-namespace {
 
 // Wakes the caller at `deadline` whether or not the reply ever arrives
 // (Latch::set is idempotent, so a reply beating the watchdog is fine).
@@ -33,6 +38,32 @@ sim::Task<void> deadline_watchdog(sim::Simulation& sim,
 }
 
 }  // namespace
+
+RpcFabric::RpcFabric(sim::Network& net, uint64_t per_message_overhead)
+    : net_(net), overhead_(per_message_overhead) {
+  static_assert(std::size(kProgramSlots) == kPrograms);
+  for (size_t slot = 0; slot < kPrograms; ++slot) {
+    const Program prog = kProgramSlots[slot];
+    for (uint32_t proc = 1; proc <= program_proc_count(prog); ++proc) {
+      std::string name = util::sformat(
+          "%s/%u", program_component(static_cast<uint32_t>(prog)), proc);
+      std::string timed_out = name + " timeout";
+      span_names_[slot].push_back({std::move(name), std::move(timed_out)});
+    }
+  }
+}
+
+std::string RpcFabric::span_name(uint32_t prog, uint32_t proc,
+                                 bool timed_out) const {
+  for (size_t slot = 0; slot < kPrograms; ++slot) {
+    if (static_cast<uint32_t>(kProgramSlots[slot]) != prog) continue;
+    const auto& names = span_names_[slot];
+    if (proc >= 1 && proc <= names.size()) return names[proc - 1][timed_out];
+    break;
+  }
+  return util::sformat("%s/%u%s", program_component(prog), proc,
+                       timed_out ? " timeout" : "");
+}
 
 void RpcFabric::bind(RpcAddress addr, RpcServer* server) {
   const auto [it, inserted] = servers_.emplace(addr, server);
@@ -154,9 +185,11 @@ Task<void> RpcServer::worker() {
       header = CallHeader::decode(dec);
     } catch (const XdrError&) {
       // Unparseable call: no xid to echo; drop it (a real server would
-      // sever the connection).
+      // sever the connection) and wake the caller, whose deadline (or the
+      // fabric drop timeout) reports it.
       util::logf(util::LogLevel::kWarn, "rpc.server",
                  fabric_.simulation().now(), "dropping unparseable call");
+      pending->slot->done.set();
       continue;
     }
 
@@ -212,9 +245,7 @@ Task<void> RpcServer::worker() {
       obs::Span span{
           header.trace_id, server_span.span_id, header.span_id,
           obs::SpanKind::kServerExec,
-          util::sformat("%s/%u",
-                        program_component(static_cast<Program>(header.prog)),
-                        header.proc),
+          fabric_.span_name(header.prog, header.proc, /*timed_out=*/false),
           node_.name(), picked_up, done, queue_wait,
           reply.wire_size, pending->request.wire_size};
       span.error = reply_header.status != ReplyStatus::kAccepted;
@@ -257,6 +288,21 @@ Task<RpcClient::Reply> RpcClient::call(RpcAddress to, Program prog,
   obs::TraceContext anchor = opts.parent;
   sim::Duration backoff = opts.backoff;
 
+  // Timed-out attempts and retries go on the flight record, naming the
+  // peer and the call.
+  const auto flight_event = [&](const char* kind, uint32_t attempt,
+                                const char* what, sim::Duration d) {
+    fabric_.flight().record(
+        sim.now(), node_.name(), "rpc.client", kind,
+        util::sformat("%s port %u %s, attempt %u of %u %s %lld ns",
+                      fabric_.network().node(to.node_id).name().c_str(),
+                      static_cast<unsigned>(to.port),
+                      fabric_.span_name(static_cast<uint32_t>(prog), proc,
+                                        /*timed_out=*/false)
+                          .c_str(),
+                      attempt + 1, attempts, what, static_cast<long long>(d)));
+  };
+
   for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
       ++retries_;
@@ -270,6 +316,7 @@ Task<RpcClient::Reply> RpcClient::call(RpcAddress to, Program prog,
       if (pause > 0) co_await sim.delay(pause);
       backoff = static_cast<sim::Duration>(
           static_cast<double>(backoff) * opts.backoff_multiplier);
+      flight_event("rpc.retry", attempt, "after backoff", pause);
     }
 
     const uint64_t parent_span_id =
@@ -301,8 +348,8 @@ Task<RpcClient::Reply> RpcClient::call(RpcAddress to, Program prog,
     obs::Span client_span{
         span.trace_id, span.span_id, parent_span_id,
         obs::SpanKind::kClientCall,
-        util::sformat("%s/%u%s", program_component(prog), proc,
-                      raw.status == Status::kOk ? "" : " timeout"),
+        fabric_.span_name(static_cast<uint32_t>(prog), proc,
+                          raw.status != Status::kOk),
         node_.name(), sent, sim.now(), 0, request_wire,
         raw.status == Status::kOk ? raw.reply.wire_size : 0,
         raw.send_wait};
@@ -319,6 +366,7 @@ Task<RpcClient::Reply> RpcClient::call(RpcAddress to, Program prog,
       co_return reply;
     }
     ++timeouts_;
+    flight_event("rpc.timeout", attempt, "after", sim.now() - sent);
   }
 
   Reply reply;

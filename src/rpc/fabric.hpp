@@ -10,6 +10,7 @@
 // queue, dispatch to the bound service, and send the reply.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -73,10 +74,6 @@ struct CallOptions {
   obs::TraceContext parent{};
 };
 
-/// Observability component name for a program's RPC spans ("nfs",
-/// "pvfs.io", ...).
-const char* program_component(Program prog);
-
 /// Server-side request context.  `trace` is the server's own span for this
 /// request (already parented under the caller's wire span); services pass it
 /// down so nested RPCs join the same trace.
@@ -96,8 +93,7 @@ class RpcServer;
 
 class RpcFabric {
  public:
-  explicit RpcFabric(sim::Network& net, uint64_t per_message_overhead = 128)
-      : net_(net), overhead_(per_message_overhead) {}
+  explicit RpcFabric(sim::Network& net, uint64_t per_message_overhead = 128);
   RpcFabric(const RpcFabric&) = delete;
   RpcFabric& operator=(const RpcFabric&) = delete;
 
@@ -147,6 +143,13 @@ class RpcFabric {
   /// message the fault injector dropped (a stand-in for TCP giving up).
   sim::Duration drop_timeout() const noexcept { return drop_timeout_; }
 
+  /// The span name of one RPC: "<component>/<proc>" ("nfs/1",
+  /// "pvfs.io/2"), plus " timeout" for an attempt that got no reply.  The
+  /// names of every proc a program defines are built once, with the
+  /// fabric; any other (prog, proc) pair came off the wire and is
+  /// formatted on the spot.
+  std::string span_name(uint32_t prog, uint32_t proc, bool timed_out) const;
+
  private:
   friend class RpcServer;
   void bind(RpcAddress addr, RpcServer* server);
@@ -155,6 +158,10 @@ class RpcFabric {
   sim::Network& net_;
   uint64_t overhead_;
   std::map<RpcAddress, RpcServer*> servers_;
+  // span_names_[program slot][proc - 1]: the name without and with
+  // " timeout" (slots in Program declaration order).
+  static constexpr size_t kPrograms = 4;
+  std::array<std::vector<std::array<std::string, 2>>, kPrograms> span_names_;
   obs::MetricsRegistry metrics_;
   obs::Tracer tracer_;
   obs::TenantLedger tenants_;

@@ -24,6 +24,18 @@ enum class Program : uint32_t {
   kPvfsMgmt = 400102,   ///< PVFS2-like management protocol
 };
 
+/// The highest procedure number a program defines (its procedures run
+/// 1..N).  nfs/ops.hpp and pvfs/protocol.hpp pin their numbering to it.
+constexpr uint32_t program_proc_count(Program prog) {
+  switch (prog) {
+    case Program::kNfs: return 3;
+    case Program::kPvfsMeta: return 6;
+    case Program::kPvfsIo: return 9;
+    case Program::kPvfsMgmt: return 0;
+  }
+  return 0;
+}
+
 /// CallHeader::flags bit: the caller's trace carries a head-sampling "keep
 /// span detail" verdict.  Servers copy it into the child spans they open so
 /// a trace is sampled (or not) end-to-end, never per-hop.

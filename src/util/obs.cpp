@@ -1,6 +1,7 @@
 #include "util/obs.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -91,17 +92,6 @@ const Counter* MetricsRegistry::find_counter(const std::string& node,
   return m == c->second.counters.end() ? nullptr : &m->second;
 }
 
-const Gauge* MetricsRegistry::find_gauge(const std::string& node,
-                                         const std::string& component,
-                                         const std::string& name) const {
-  const auto n = nodes_.find(node);
-  if (n == nodes_.end()) return nullptr;
-  const auto c = n->second.find(component);
-  if (c == n->second.end()) return nullptr;
-  const auto m = c->second.gauges.find(name);
-  return m == c->second.gauges.end() ? nullptr : &m->second;
-}
-
 util::PercentileDigest& MetricsRegistry::digest(const std::string& node,
                                                 const std::string& component,
                                                 const std::string& name) {
@@ -117,17 +107,6 @@ const HistogramMetric* MetricsRegistry::find_histogram(
   if (c == n->second.end()) return nullptr;
   const auto m = c->second.histograms.find(name);
   return m == c->second.histograms.end() ? nullptr : &m->second;
-}
-
-const util::PercentileDigest* MetricsRegistry::find_digest(
-    const std::string& node, const std::string& component,
-    const std::string& name) const {
-  const auto n = nodes_.find(node);
-  if (n == nodes_.end()) return nullptr;
-  const auto c = n->second.find(component);
-  if (c == n->second.end()) return nullptr;
-  const auto m = c->second.digests.find(name);
-  return m == c->second.digests.end() ? nullptr : &m->second;
 }
 
 namespace {
@@ -277,21 +256,24 @@ void Tracer::record(Span span) {
   ++spans_recorded_;
   if (span.kind == SpanKind::kClientCall) {
     ++rpc_hops_total_;
-    auto it = hops_per_trace_.find(span.trace_id);
-    if (it == hops_per_trace_.end()) {
+    uint32_t hops = 1;
+    if (uint32_t* held = hops_per_trace_.find(span.trace_id)) {
+      hops = ++*held;
+    } else {
       // A trace id above the eviction high-water mark is genuinely new; a
       // smaller one is a previously evicted trace resurfacing (counted once).
       if (span.trace_id > max_evicted_trace_) ++hop_traces_seen_;
-      it = hops_per_trace_.emplace(span.trace_id, 0).first;
+      hops_per_trace_.insert(span.trace_id, hops,
+                             std::max<size_t>(64, 2 * hop_trace_capacity_));
       while (hops_per_trace_.size() > hop_trace_capacity_) {
-        auto oldest = hops_per_trace_.begin();
-        if (oldest->first == span.trace_id) break;  // never evict the live one
-        max_evicted_trace_ = std::max(max_evicted_trace_, oldest->first);
-        hops_per_trace_.erase(oldest);
+        const uint64_t oldest = hops_per_trace_.smallest();
+        if (oldest == span.trace_id) break;  // never evict the live one
+        max_evicted_trace_ = std::max(max_evicted_trace_, oldest);
+        hops_per_trace_.erase_smallest();
         ++hop_traces_evicted_;
       }
     }
-    max_hops_ = std::max(max_hops_, ++it->second);
+    max_hops_ = std::max(max_hops_, hops);
   }
   // Per-op SLO accounting covers every root span, sampled or not.
   if (span.parent_span_id == 0) {
@@ -482,8 +464,86 @@ uint32_t Tracer::max_hops_per_trace() const noexcept { return max_hops_; }
 
 std::map<uint32_t, uint64_t> Tracer::hops_histogram() const {
   std::map<uint32_t, uint64_t> out;
-  for (const auto& [trace, hops] : hops_per_trace_) ++out[hops];
+  hops_per_trace_.for_each([&out](uint32_t hops) { ++out[hops]; });
   return out;
+}
+
+uint32_t* Tracer::HopCounts::find(uint64_t id) {
+  if (id >= base_) {
+    if (id - base_ >= span_) return nullptr;
+    uint32_t& hops = slot(id);
+    return hops != 0 ? &hops : nullptr;
+  }
+  const auto it = std::lower_bound(
+      below_.begin() + static_cast<ptrdiff_t>(below_head_), below_.end(), id,
+      [](const Held& h, uint64_t v) { return h.id < v; });
+  return it != below_.end() && it->id == id ? &it->hops : nullptr;
+}
+
+void Tracer::HopCounts::insert(uint64_t id, uint32_t hops, size_t max_span) {
+  ++size_;
+  if (id < base_) {
+    const auto it = std::lower_bound(
+        below_.begin() + static_cast<ptrdiff_t>(below_head_), below_.end(), id,
+        [](const Held& h, uint64_t v) { return h.id < v; });
+    below_.insert(it, Held{id, hops});
+    return;
+  }
+  // Slide the ring up to `id`: held ids that fall off its low end are
+  // larger than everything in below_, so appending keeps it in order.
+  while (span_ > 0 && id - base_ >= max_span) {
+    uint32_t& front = ring_[head_];
+    if (front != 0) below_.push_back(Held{base_, front});
+    front = 0;
+    pop_front();
+  }
+  trim_front();
+  if (span_ == 0) base_ = id;
+  const size_t need = static_cast<size_t>(id - base_) + 1;
+  if (need > ring_.size()) {
+    // Grow to a power of two, unrolling the span to the front.
+    std::vector<uint32_t> grown(std::bit_ceil(std::max<size_t>(need, 16)), 0);
+    for (size_t i = 0; i < span_; ++i) {
+      grown[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+    }
+    ring_ = std::move(grown);
+    head_ = 0;
+  }
+  slot(id) = hops;
+  span_ = std::max(span_, need);
+}
+
+uint64_t Tracer::HopCounts::smallest() const noexcept {
+  return below_head_ < below_.size() ? below_[below_head_].id : base_;
+}
+
+void Tracer::HopCounts::erase_smallest() {
+  --size_;
+  if (below_head_ < below_.size()) {
+    ++below_head_;
+    if (below_head_ == below_.size()) {
+      below_.clear();
+      below_head_ = 0;
+    } else if (below_head_ >= 64 && 2 * below_head_ >= below_.size()) {
+      below_.erase(below_.begin(),
+                   below_.begin() + static_cast<ptrdiff_t>(below_head_));
+      below_head_ = 0;
+    }
+    return;
+  }
+  ring_[head_] = 0;
+  pop_front();
+  trim_front();
+}
+
+void Tracer::HopCounts::pop_front() {
+  head_ = (head_ + 1) & (ring_.size() - 1);
+  ++base_;
+  --span_;
+}
+
+void Tracer::HopCounts::trim_front() {
+  while (span_ > 0 && ring_[head_] == 0) pop_front();
 }
 
 std::vector<Span> Tracer::trace_spans(uint64_t trace_id) const {
@@ -568,36 +628,6 @@ std::string Tracer::slo_json() const {
         s.latency_us.to_json().c_str());
   }
   out += "}}";
-  return out;
-}
-
-std::string Tracer::spans_json(size_t limit) const {
-  std::string out = "[";
-  size_t n = 0;
-  for (const auto& s : retained_spans()) {
-    if (n >= limit) break;
-    if (n > 0) out += ", ";
-    ++n;
-    out += sformat(
-        "{\"trace\": %llu, \"span\": %llu, \"parent\": %llu, "
-        "\"kind\": \"%s\", \"name\": \"%s\", \"node\": \"%s\", "
-        "\"start_ns\": %lld, \"end_ns\": %lld, \"queue_wait_ns\": %lld, "
-        "\"bytes_out\": %llu, \"bytes_in\": %llu, "
-        "\"send_wait_ns\": %lld, \"disk_ns\": %lld, "
-        "\"error\": %s, \"sampled\": %s, \"promoted\": %s}",
-        static_cast<unsigned long long>(s.trace_id),
-        static_cast<unsigned long long>(s.span_id),
-        static_cast<unsigned long long>(s.parent_span_id),
-        span_kind_name(s.kind), json_escape(s.name).c_str(),
-        json_escape(s.node).c_str(), static_cast<long long>(s.start),
-        static_cast<long long>(s.end), static_cast<long long>(s.queue_wait),
-        static_cast<unsigned long long>(s.bytes_out),
-        static_cast<unsigned long long>(s.bytes_in),
-        static_cast<long long>(s.send_wait), static_cast<long long>(s.disk),
-        s.error ? "true" : "false", s.sampled ? "true" : "false",
-        s.promoted ? "true" : "false");
-  }
-  out += "]";
   return out;
 }
 

@@ -127,14 +127,9 @@ class MetricsRegistry {
   const Counter* find_counter(const std::string& node,
                               const std::string& component,
                               const std::string& name) const;
-  const Gauge* find_gauge(const std::string& node, const std::string& component,
-                          const std::string& name) const;
   const HistogramMetric* find_histogram(const std::string& node,
                                         const std::string& component,
                                         const std::string& name) const;
-  const util::PercentileDigest* find_digest(const std::string& node,
-                                            const std::string& component,
-                                            const std::string& name) const;
 
   bool empty() const noexcept { return nodes_.empty(); }
 
@@ -212,11 +207,12 @@ struct Span {
 /// Allocates trace/span ids and aggregates recorded spans.
 ///
 /// Hop accounting is exact for every trace: each kClientCall span counts as
-/// one RPC hop against its trace.  The per-trace hop map is bounded
+/// one RPC hop against its trace.  The per-trace hop counts are bounded
 /// (`hop_trace_capacity`): once the cap is hit the oldest trace entries are
 /// evicted (trace ids are allocated monotonically, so oldest == smallest)
 /// and counted in `hop_traces_evicted()` — long benches stay flat in memory
-/// while `rpc_hops_total` and the distinct-trace count remain exact.
+/// while `rpc_hops_total` and the distinct-trace count remain exact.  The
+/// counts live in an array indexed by trace id (see HopCounts below).
 ///
 /// Span *detail* is governed by two independent mechanisms, both bounded:
 ///
@@ -304,10 +300,9 @@ class Tracer {
   /// traces.  Copies — call at export/analysis time, not on hot paths.
   std::vector<Span> retained_spans() const;
 
-  /// Aggregate trace statistics (no span detail; see `spans_json`).
+  /// Aggregate trace statistics (no span detail: the Chrome trace export,
+  /// obs::TraceExporter, carries that).
   std::string to_json() const;
-  /// Detail for up to `limit` retained spans (sampled ring, then promoted).
-  std::string spans_json(size_t limit) const;
 
   /// Per-op-class SLO report: exact request/error/over-SLO counts and
   /// streaming latency digests for every root span (100% of traffic,
@@ -326,6 +321,54 @@ class Tracer {
   }
 
  private:
+  /// Hop counts of the traces held for the histogram, indexed by trace id.
+  /// begin() hands out trace ids densely, so the held traces sit in a short
+  /// run of ids: a ring of counts covers that run, and a count of 0 marks
+  /// an id with no hop on record.  The ring never spans more ids than the
+  /// `max_span` given to insert(); a held trace whose id falls below the
+  /// ring (a late first hop, or a jump in ids that slid the ring past it)
+  /// waits in `below_`, in id order, until it is evicted.  Memory is
+  /// O(max_span + traces held) whatever ids arrive.
+  class HopCounts {
+   public:
+    /// The held count of `id`, or nullptr if `id` is not held.
+    uint32_t* find(uint64_t id);
+    /// Holds `id` (not held yet) with `hops` > 0.
+    void insert(uint64_t id, uint32_t hops, size_t max_span);
+    size_t size() const noexcept { return size_; }
+    /// The smallest held id; requires size() > 0.
+    uint64_t smallest() const noexcept;
+    void erase_smallest();
+    /// Calls `f(hops)` for every held trace.
+    template <typename F>
+    void for_each(F&& f) const {
+      for (size_t i = below_head_; i < below_.size(); ++i) f(below_[i].hops);
+      for (size_t i = 0; i < span_; ++i) {
+        const uint32_t hops = ring_[(head_ + i) & (ring_.size() - 1)];
+        if (hops != 0) f(hops);
+      }
+    }
+
+   private:
+    struct Held {
+      uint64_t id = 0;
+      uint32_t hops = 0;
+    };
+    uint32_t& slot(uint64_t id) {
+      return ring_[(head_ + (id - base_)) & (ring_.size() - 1)];
+    }
+    void pop_front();
+    void trim_front();
+
+    std::vector<uint32_t> ring_;  ///< power-of-two size; 0 outside the span
+    size_t head_ = 0;             ///< ring index of id base_
+    uint64_t base_ = 0;           ///< the ring covers [base_, base_ + span_)
+    size_t span_ = 0;             ///< 0, or ids base_ and base_+span_-1 held
+    std::vector<Held> below_;     ///< held ids < base_, ascending
+    size_t below_head_ = 0;       ///< below_[0, below_head_) are evicted
+    size_t size_ = 0;
+  };
+
   void retain(Span span);
   void stage(Span span);
   void evict_oldest_retained();
@@ -355,7 +398,7 @@ class Tracer {
   uint64_t hop_traces_evicted_ = 0;
   uint64_t max_evicted_trace_ = 0;  ///< largest trace id ever evicted
   uint32_t max_hops_ = 0;           ///< running max, survives eviction
-  std::map<uint64_t, uint32_t> hops_per_trace_;
+  HopCounts hops_per_trace_;
   // The sampled-detail ring: spans_ evicts from the front under capacity
   // pressure, so trace_index_ stores *absolute* recording positions and
   // spans_base_ tracks how many have been evicted (deque index =

@@ -724,6 +724,13 @@ TEST(FaultRecovery, LossySlowUplinkWriteReadsBackExactly) {
   EXPECT_GT(a.dropped, kDropFirst);
   EXPECT_GT(a.delayed, 0u);
   EXPECT_GT(a.rpc_retries, 0u);
+  // Each timed-out attempt and each retry is on the flight record, naming
+  // the peer behind the faulty uplink.
+  for (const char* kind : {"rpc.timeout", "rpc.retry"}) {
+    const std::string event = std::string("\"kind\": \"") + kind +
+                              "\", \"detail\": \"storage1 port ";
+    EXPECT_NE(a.flight.find(event), std::string::npos) << kind;
+  }
 
   const LinkFaultOutcome b = run_link_fault_scenario();
   EXPECT_EQ(a.flight, b.flight);

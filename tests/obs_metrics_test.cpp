@@ -11,7 +11,9 @@
 #include "core/deployment.hpp"
 #include "rpc/fabric.hpp"
 #include "sim/network.hpp"
+#include "support/metrics_json.hpp"
 #include "util/obs.hpp"
+#include "util/obs_analysis.hpp"
 #include "workload/ior.hpp"
 
 namespace dpnfs {
@@ -51,7 +53,6 @@ TEST(MetricsRegistry, FindDoesNotCreate) {
   const obs::Counter* found = reg.find_counter("n", "c", "x");
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->value(), 7u);
-  EXPECT_EQ(reg.find_gauge("n", "c", "x"), nullptr);
   EXPECT_EQ(reg.find_histogram("n", "c", "x"), nullptr);
 }
 
@@ -144,9 +145,10 @@ TEST(Tracer, JsonExports) {
   EXPECT_NE(agg.find("\"traces_started\": 1"), std::string::npos);
   EXPECT_NE(agg.find("\"rpc_hops_total\": 1"), std::string::npos);
   EXPECT_NE(agg.find("\"hops_histogram\": {\"1\": 1}"), std::string::npos);
-  const std::string detail = t.spans_json(10);
+  // Span detail rides the Chrome trace export.
+  const std::string detail = obs::TraceExporter::to_chrome_json(t, "test");
   EXPECT_NE(detail.find("\"name\": \"nfs/1\""), std::string::npos);
-  EXPECT_NE(detail.find("\"kind\": \"client\""), std::string::npos);
+  EXPECT_NE(detail.find("\"cat\": \"client\""), std::string::npos);
   EXPECT_NE(detail.find("\"bytes_out\": 128"), std::string::npos);
 }
 
@@ -319,10 +321,10 @@ TEST(Deployment, MetricsJsonCarriesPerStorageNodeBytes) {
   // And the snapshot gauges saw the bytes the data path moved, even though
   // Direct-pNFS bypasses the PVFS I/O daemons.
   for (const char* node : {"storage0", "storage1", "storage2"}) {
-    const obs::Gauge* g = d.metrics().find_gauge(node, "node",
-                                                 "disk_write_bytes");
-    ASSERT_NE(g, nullptr) << node;
-    EXPECT_GT(g->value(), 0.0) << node;
+    EXPECT_GT(testsupport::node_metric(
+                  json, {node, "node", "gauges", "disk_write_bytes"}),
+              0.0)
+        << node;
   }
 }
 

@@ -5,12 +5,15 @@
 // deployments.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/deployment.hpp"
+#include "support/metrics_json.hpp"
 #include "util/obs.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -319,6 +322,98 @@ TEST(Tracer, HopHistogramReportsCompleteness) {
   EXPECT_NE(truncated.find("\"hop_traces_evicted\": 6"), std::string::npos);
 }
 
+// The Tracer's hop accounting as it was when the counts lived in a
+// std::map<trace id, hops>: the reference its id-indexed array must match.
+struct HopMapModel {
+  size_t capacity = 0;
+  std::map<uint64_t, uint32_t> hops;
+  uint64_t total = 0;
+  uint64_t seen = 0;
+  uint64_t evicted = 0;
+  uint64_t max_evicted = 0;
+  uint32_t max_hops = 0;
+
+  void record(uint64_t id) {
+    ++total;
+    auto it = hops.find(id);
+    if (it == hops.end()) {
+      if (id > max_evicted) ++seen;
+      it = hops.emplace(id, 0).first;
+      while (hops.size() > capacity) {
+        auto oldest = hops.begin();
+        if (oldest->first == id) break;
+        max_evicted = std::max(max_evicted, oldest->first);
+        hops.erase(oldest);
+        ++evicted;
+      }
+    }
+    max_hops = std::max(max_hops, ++it->second);
+  }
+  double mean() const {
+    return seen == 0 ? 0.0
+                     : static_cast<double>(total) / static_cast<double>(seen);
+  }
+  std::map<uint32_t, uint64_t> histogram() const {
+    std::map<uint32_t, uint64_t> out;
+    for (const auto& [id, n] : hops) ++out[n];
+    return out;
+  }
+};
+
+TEST(Tracer, HopCountsMatchTheMapTheyReplaced) {
+  constexpr size_t kCapacity = 8;
+  Tracer t;
+  t.set_hop_trace_capacity(kCapacity);
+  t.set_span_capacity(0);  // span detail is not under test
+  HopMapModel model;
+  model.capacity = kCapacity;
+  util::Rng rng(0x40b5);
+  uint64_t next = 1'000'000;  // the next fresh trace id
+  uint64_t low = next - 1;    // fresh ids below every other one, descending
+  std::vector<uint64_t> issued;   // every id recorded so far
+  std::vector<uint64_t> skipped;  // ids passed over, their first hop late
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t pick = rng.below(100);
+    uint64_t id = 0;
+    if (pick < 40 || issued.empty()) {
+      // A new trace, sometimes leaving ids whose first hop comes later.
+      while (rng.chance(0.3)) skipped.push_back(next++);
+      id = next++;
+    } else if (pick < 65) {
+      // Another hop of a recent trace, held or already evicted.
+      const size_t back = std::min<size_t>(issued.size(), 12);
+      id = issued[issued.size() - 1 - rng.below(back)];
+    } else if (pick < 80 && !skipped.empty()) {
+      // A late first hop, most often below the oldest trace held.
+      const size_t i = rng.below(skipped.size());
+      id = skipped[i];
+      skipped.erase(skipped.begin() + static_cast<ptrdiff_t>(i));
+    } else if (pick < 92) {
+      // Any earlier trace coming back, usually one evicted long ago.
+      id = issued[rng.below(issued.size())];
+    } else if (pick < 96) {
+      // A jump far past every id so far.
+      next += 1000 + rng.below(100000);
+      id = next++;
+    } else {
+      // A first hop far below every id so far.
+      id = low--;
+    }
+    issued.push_back(id);
+    t.record(Span{id, 1, 1, SpanKind::kClientCall, "nfs/1", "client0", 0, 1});
+    model.record(id);
+    ASSERT_EQ(t.hop_traces_seen(), model.seen) << "step " << step;
+    ASSERT_EQ(t.hop_traces_evicted(), model.evicted) << "step " << step;
+    ASSERT_EQ(t.max_hops_per_trace(), model.max_hops) << "step " << step;
+    ASSERT_EQ(t.mean_hops_per_trace(), model.mean()) << "step " << step;
+    ASSERT_EQ(t.hops_histogram(), model.histogram()) << "step " << step;
+  }
+  // The mix reached every path: eviction, resurfacing and the pile-up of
+  // descending first hops that the capacity never evicts.
+  EXPECT_GT(model.evicted, 1000u);
+  EXPECT_LT(model.seen, issued.size());
+}
+
 // ---------------------------------------------------------------------------
 // Streaming percentile digest
 // ---------------------------------------------------------------------------
@@ -432,10 +527,9 @@ TEST(Deployment, MetricsJsonCarriesSloSection) {
   EXPECT_NE(json.find("\"hop_histogram_complete\""), std::string::npos);
   EXPECT_NE(json.find("\"digests\""), std::string::npos);
   // The rpc service-time digest rode along with the histograms.
-  const util::PercentileDigest* svc =
-      d.metrics().find_digest("storage0", "rpc", "service_us");
-  ASSERT_NE(svc, nullptr);
-  EXPECT_GT(svc->count(), 0u);
+  EXPECT_GT(testsupport::node_metric(
+                json, {"storage0", "rpc", "digests", "service_us", "count"}),
+            0.0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -257,6 +258,31 @@ TEST(RpcFabric, MalformedArgsBecomeGarbageArgs) {
   f.sim.spawn(expect_garbage(client, server.address(), got));
   f.sim.run();
   EXPECT_TRUE(got);
+}
+
+TEST(RpcFabric, UnparseableCallStillCompletes) {
+  // A request whose call header does not decode is dropped, but its caller
+  // is woken: with no deadline it times out after the drop timeout instead
+  // of waiting forever.
+  Fixture f;
+  auto& client_node = f.add_node("client");
+  auto& server_node = f.add_node("server");
+  RpcServer server(f.fabric, server_node, kNfsPort, 1, echo_service());
+  server.start();
+
+  std::optional<Status> status;
+  f.sim.spawn([](RpcFabric& fabric, sim::Node& from, RpcAddress to,
+                 std::optional<Status>& out) -> Task<void> {
+    WireBuffer garbage{{std::byte{0xde}, std::byte{0xad}}, 2};
+    const RpcFabric::RawResult raw =
+        co_await fabric.call(from, to, std::move(garbage), /*deadline=*/0);
+    out = raw.status;
+  }(f.fabric, client_node, server.address(), status));
+  f.sim.run();
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(*status, Status::kTimedOut);
+  EXPECT_GE(f.sim.now(), f.fabric.drop_timeout());
+  EXPECT_EQ(f.requests("server"), 0u);
 }
 
 TEST(RpcFabric, BulkReplyChargesWireTime) {
